@@ -653,6 +653,8 @@ func benchEngine() {
 	cur := vcalab.RunEngineBench(cfg)
 	fmt.Printf("engine bench: %9d events  %6.2fs wall  %9.0f events/s  %5.2f allocs/event  %6.1f sim-s/wall-s\n",
 		cur.Events, cur.WallSeconds, cur.EventsPerSecond, cur.AllocsPerEvent, cur.SimSecondsPerWallSecond)
+	fmt.Printf("engine sched: %9d live high-water  %5d heap high-water  %5.3f wheel insert ratio\n",
+		cur.EventHighWater, cur.HeapHighWater, cur.WheelInsertRatio)
 	fmt.Printf("engine micro: %9.0f events/s  %5.2f allocs/event\n",
 		cur.MicroEventsPerSecond, cur.MicroAllocsPerEvent)
 	fmt.Printf("routing micro:%9.0f events/s  %5.2f allocs/event\n",

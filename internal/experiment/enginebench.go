@@ -96,9 +96,12 @@ type EngineBenchResult struct {
 
 	// Previously-buried internals of the macro run, surfaced for the
 	// observability layer: the scheduler's pooled-event high-water mark,
-	// the share of insertions the timer wheel absorbed, and the deepest
-	// queue / total drops across the topology's links.
+	// the ready heap's own high-water mark (events waiting in the timer
+	// wheel or behind a link lane's head count toward the first but not
+	// the second), the share of insertions the timer wheel absorbed, and
+	// the deepest queue / total drops across the topology's links.
 	EventHighWater        int     `json:"event_high_water"`
+	HeapHighWater         int     `json:"heap_high_water"`
 	WheelInsertRatio      float64 `json:"wheel_insert_ratio"`
 	MaxLinkQueueHighWater int     `json:"max_link_queue_high_water_bytes"`
 	LinkDrops             uint64  `json:"link_drops"`
@@ -200,6 +203,7 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 		res.BytesPerEvent = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Events)
 	}
 	res.EventHighWater = eng.LiveHighWater()
+	res.HeapHighWater = eng.HeapHighWater()
 	if wheel, heap := eng.SchedulerInserts(); wheel+heap > 0 {
 		res.WheelInsertRatio = float64(wheel) / float64(wheel+heap)
 	}

@@ -1,6 +1,9 @@
 package netem
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -320,15 +323,57 @@ func TestInterRouterRateChangeMidSimulation(t *testing.T) {
 	}
 }
 
+// benchHost returns a host whose port 1 swallows packets, the terminal
+// point that recycles pooled bench packets.
+func benchHost(eng *sim.Engine) *Host {
+	h := NewHost(eng, "h")
+	h.HandleFunc(1, func(*Packet) {})
+	return h
+}
+
+// benchSend pushes one pooled packet into l and advances the clock by
+// step, keeping the link in steady state.
+func benchSend(eng *sim.Engine, h *Host, l *Link, step time.Duration) {
+	pkt := h.NewPacket()
+	pkt.Size = 1200
+	pkt.To = Addr{Host: "h", Port: 1}
+	l.Send(pkt)
+	eng.RunUntil(eng.Now() + step)
+}
+
+// BenchmarkLinkThroughput serializes pooled packets through a 10 Mbps
+// link, one packet per serialization time, so the path stays in steady
+// state and allocates nothing per packet.
 func BenchmarkLinkThroughput(b *testing.B) {
 	eng := sim.New(1)
-	s := &sink{}
-	l := NewLink(eng, "l", LinkConfig{RateBps: 10e6, QueueBytes: 1 << 30}, s)
+	h := benchHost(eng)
+	l := NewLink(eng, "l", LinkConfig{RateBps: 10e6, QueueBytes: 1 << 30}, h)
+	tx := time.Duration(1200 * 8 / 10e6 * float64(time.Second))
+	benchSend(eng, h, l, tx)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Send(&Packet{Size: 1200})
+		benchSend(eng, h, l, tx)
 	}
-	eng.Run()
+}
+
+// BenchmarkLinkInFlight keeps about 60 pooled packets propagating on a
+// 2 ms unconstrained link — the shape of a busy relay hop, where the
+// propagation stage, not serialization, holds the packets.
+func BenchmarkLinkInFlight(b *testing.B) {
+	const inFlight = 60
+	eng := sim.New(1)
+	h := benchHost(eng)
+	l := NewLink(eng, "l", LinkConfig{Delay: 2 * time.Millisecond}, h)
+	step := 2 * time.Millisecond / inFlight
+	for i := 0; i < 2*inFlight; i++ {
+		benchSend(eng, h, l, step)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSend(eng, h, l, step)
+	}
 }
 
 func TestRandomLoss(t *testing.T) {
@@ -394,23 +439,97 @@ func TestSetImpairment(t *testing.T) {
 
 // TestSetDelayMidSimulation checks the WAN re-path semantics: packets
 // already propagating keep the delay they left with, packets entering
-// the wire afterwards use the new one.
+// the wire afterwards use the new one. The packets sent after the cut
+// overtake the one still propagating, and each one tie-breaks or queues
+// in send order behind the packets that arrive with or before it.
 func TestSetDelayMidSimulation(t *testing.T) {
 	eng := sim.New(11)
-	var arrivals []time.Duration
+	type arrival struct {
+		flow string
+		at   time.Duration
+	}
+	var got []arrival
 	l := NewLink(eng, "wan", LinkConfig{Delay: 50 * time.Millisecond},
-		HandlerFunc(func(p *Packet) { arrivals = append(arrivals, eng.Now()) }))
-	l.Send(&Packet{Size: 100}) // departs at 0 under the 50 ms delay
+		HandlerFunc(func(p *Packet) { got = append(got, arrival{p.Flow, eng.Now()}) }))
+	l.Send(&Packet{Size: 100, Flow: "p1"}) // departs at 0 under the 50 ms delay
 	eng.Schedule(10*time.Millisecond, func() {
 		l.SetDelay(5 * time.Millisecond)
-		l.Send(&Packet{Size: 100}) // departs at 10 ms under the 5 ms delay
+		l.Send(&Packet{Size: 100, Flow: "p2"}) // departs at 10 ms under the 5 ms delay
+		l.Send(&Packet{Size: 100, Flow: "p3"}) // same instant: due with p2, after it
+	})
+	eng.Schedule(12*time.Millisecond, func() {
+		l.Send(&Packet{Size: 100, Flow: "p4"}) // overtakes p1 too
+	})
+	eng.Schedule(48*time.Millisecond, func() {
+		l.Send(&Packet{Size: 100, Flow: "p5"}) // due after p1, behind it
 	})
 	eng.Run()
 	if l.Delay() != 5*time.Millisecond {
 		t.Errorf("Delay() = %v after SetDelay, want 5ms", l.Delay())
 	}
-	want := []time.Duration{15 * time.Millisecond, 50 * time.Millisecond}
-	if len(arrivals) != 2 || arrivals[0] != want[0] || arrivals[1] != want[1] {
-		t.Errorf("arrivals = %v, want %v (delay cut reorders across the change)", arrivals, want)
+	want := []arrival{
+		{"p2", 15 * time.Millisecond},
+		{"p3", 15 * time.Millisecond},
+		{"p4", 17 * time.Millisecond},
+		{"p1", 50 * time.Millisecond},
+		{"p5", 53 * time.Millisecond},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("arrivals = %v, want %v (delay cut reorders across the change)", got, want)
+	}
+	if eng.Pending() != 0 || eng.Live() != 0 {
+		t.Errorf("Pending()=%d Live()=%d after drain, want 0", eng.Pending(), eng.Live())
+	}
+}
+
+// TestJitterDeliveryOrder pins a jittered link's delivery times and
+// order against an independent model: each packet arrives at its send
+// time plus the delay plus its own uniform jitter draw from the engine's
+// random stream (the link's only consumer here), and packets due at the
+// same instant arrive in send order.
+func TestJitterDeliveryOrder(t *testing.T) {
+	const (
+		seed  = 21
+		n     = 120
+		delay = 10 * time.Millisecond
+		// Jitter wider than the send spacing, so packets reorder.
+		jitter  = 4 * time.Millisecond
+		spacing = 500 * time.Microsecond
+	)
+	eng := sim.New(seed)
+	type arrival struct {
+		id int
+		at time.Duration
+	}
+	var got []arrival
+	l := NewLink(eng, "jittery", LinkConfig{Delay: delay, Jitter: jitter},
+		HandlerFunc(func(p *Packet) { got = append(got, arrival{p.Size, eng.Now()}) }))
+	for i := 0; i < n; i++ {
+		id := i
+		eng.Schedule(time.Duration(i)*spacing, func() { l.Send(&Packet{Size: id}) })
+	}
+	eng.Run()
+
+	rng := rand.New(rand.NewSource(seed))
+	want := make([]arrival, n)
+	for i := range want {
+		want[i] = arrival{i, time.Duration(i)*spacing + delay + time.Duration(rng.Float64()*float64(jitter))}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	reordered := false
+	for i := range want {
+		if want[i].id != i {
+			reordered = true
+			break
+		}
+	}
+	if !reordered {
+		t.Fatal("model never reorders: the jitter does not exercise out-of-order delivery")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("jittered deliveries diverge from the model:\n got %v\nwant %v", got, want)
+	}
+	if eng.Pending() != 0 || eng.Live() != 0 {
+		t.Errorf("Pending()=%d Live()=%d after drain, want 0", eng.Pending(), eng.Live())
 	}
 }

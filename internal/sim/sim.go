@@ -15,7 +15,12 @@
 //     cancellation is collected, so steady-state scheduling allocates
 //     nothing. The engine is single-threaded, so the free list needs no
 //     locking.
-//   - The ready queue is a 4-ary min-heap ordered by (time, seq):
+//   - Every event carries the ordering key (at, schedAt, src, seq): due
+//     time, the clock when it was filed, the scheduling domain that filed
+//     it and a per-engine sequence number (see less). Within one engine
+//     this is the classic (at, seq) order; the middle fields exist for
+//     sharded runs (shard.go).
+//   - The ready queue is a 4-ary min-heap ordered by that key:
 //     shallower than a binary heap, with all four children in one cache
 //     line's worth of pointers. Lazy cancellation means events never
 //     need removal by position, so no per-event index is maintained.
@@ -23,8 +28,16 @@
 //     front-ends the heap for far-out events — periodic tickers, RTO and
 //     keyframe timers. Insertion is O(1); a slot is flushed into the heap
 //     when virtual time reaches its start, which preserves the exact
-//     (time, seq) total order because flushing can only happen at or
-//     before an event's due time.
+//     total order because flushing can only happen at or before an
+//     event's due time.
+//   - Lanes (lane.go) keep a link's in-flight deliveries out of the heap.
+//     Deliveries on a fixed-delay link come due in the order they were
+//     sent, so a lane files only its head and chains the rest in FIFO
+//     order, each already keyed; the successor is filed when the head
+//     fires. A delivery due before the lane's tail (jitter, a delay cut)
+//     is filed directly. The heap then holds one entry per busy link
+//     rather than one per packet in flight, and the total order is
+//     unchanged.
 //   - Hot callers schedule closure-free events against the Handler and
 //     ArgHandler interfaces instead of func() closures; the packet path
 //     (internal/netem) carries its *Packet through the event's arg slot.
@@ -84,6 +97,10 @@ type event struct {
 	gen       uint32
 	cancelled bool
 
+	// lane is set on deliveries filed through a Lane's FIFO: when such
+	// an event fires, its lane's next delivery is filed.
+	lane *Lane
+
 	fn  func()
 	h   Handler
 	ah  ArgHandler
@@ -133,7 +150,7 @@ const farFuture = time.Duration(math.MaxInt64)
 // chains; per-level bitmaps make the next-occupied-slot scan cheap.
 // nextDue is a lower bound on the earliest slot start time — flushing a
 // slot early is always safe, because the heap re-establishes the exact
-// (time, seq) order of whatever the wheel hands it.
+// key order of whatever the wheel hands it.
 type wheel struct {
 	slots   [wheelLevels][wheelSlots]*event
 	bitmaps [wheelLevels][wheelSlots / 64]uint64
@@ -197,6 +214,12 @@ type Engine struct {
 	// liveHW is the high-water mark of live: the scheduler's peak
 	// working set over the engine's lifetime.
 	liveHW int
+	// heapHW is the peak length of the ready heap. Unlike liveHW it
+	// excludes events waiting in the wheel or in lanes.
+	heapHW int
+	// laned counts events waiting in lanes behind their lane's head:
+	// keyed and live, but filed in neither the wheel nor the heap.
+	laned int
 	// wheelIns/heapIns count insertions filed through the timer wheel
 	// vs pushed straight onto the heap — the wheel hit ratio is the
 	// scheduler's cheapest health signal.
@@ -234,6 +257,12 @@ func (e *Engine) Live() int { return e.live }
 // high-water mark.
 func (e *Engine) LiveHighWater() int { return e.liveHW }
 
+// HeapHighWater reports the peak length of the ready heap over the
+// engine's lifetime. Events parked in the timer wheel or waiting behind
+// a lane's head count toward LiveHighWater but not here, so the gap
+// between the two is what the wheel and the lanes keep out of the heap.
+func (e *Engine) HeapHighWater() int { return e.heapHW }
+
 // SchedulerInserts reports how many event insertions went through the
 // timer wheel vs straight onto the fallback heap. A low wheel share
 // means events are being scheduled beyond the wheel horizon and the
@@ -266,6 +295,7 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn, ev.h, ev.ah, ev.arg = nil, nil, nil, nil
+	ev.lane = nil
 	ev.cancelled = false
 	ev.next = e.free
 	e.free = ev
@@ -277,18 +307,29 @@ func (e *Engine) add(at time.Duration, ev *event) Timer {
 	if at < e.now {
 		at = e.now
 	}
+	e.stamp(at, ev)
+	e.file(ev)
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// stamp gives ev its ordering key for a schedule made now: due at at,
+// consuming the engine's next sequence number.
+func (e *Engine) stamp(at time.Duration, ev *event) {
 	ev.at = at
 	ev.schedAt = e.now
 	ev.src = e.src
 	ev.seq = e.seq
 	e.seq++
+}
+
+// file places an already-keyed event in the timer wheel or the heap.
+func (e *Engine) file(ev *event) {
 	if e.wheel.insert(e.now, ev) {
 		e.wheelIns++
 	} else {
 		e.heapIns++
 		e.heapPush(ev)
 	}
-	return Timer{ev: ev, gen: ev.gen}
 }
 
 // TakeSeq consumes and returns the engine's next scheduling sequence
@@ -311,12 +352,7 @@ func (e *Engine) inject(at, schedAt time.Duration, src uint32, seq uint64, ah Ar
 	ev.schedAt = schedAt
 	ev.src = src
 	ev.seq = seq
-	if e.wheel.insert(e.now, ev) {
-		e.wheelIns++
-	} else {
-		e.heapIns++
-		e.heapPush(ev)
-	}
+	e.file(ev)
 }
 
 // Timer is a handle to a scheduled event. Stop cancels it. The zero Timer
@@ -458,8 +494,9 @@ func (t *Ticker) Reset(interval time.Duration) {
 
 // flushWheel moves every wheel slot whose start time is at or before upTo
 // into the heap, and recomputes the wheel's exact next due bound. Moving a
-// slot early is always safe: the heap orders its events by (time, seq)
-// exactly as if they had been pushed at schedule time.
+// slot early is always safe: the heap orders its events by their full
+// key (at, schedAt, src, seq), which was fixed at schedule time, exactly
+// as if they had been pushed then.
 func (e *Engine) flushWheel(upTo time.Duration) {
 	w := &e.wheel
 	base := uint64(e.now / wheelTick)
@@ -539,8 +576,12 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	e.heapPop()
 	e.now = ev.at
+	if ev.lane != nil {
+		e.popLane(ev.lane)
+	} else {
+		e.heapPop()
+	}
 	e.processed++
 	fn, h, ah, arg := ev.fn, ev.h, ev.ah, ev.arg
 	// Recycle before dispatch: the callback's own schedules reuse the
@@ -555,6 +596,28 @@ func (e *Engine) Step() bool {
 		h.OnEvent(e.now)
 	}
 	return true
+}
+
+// popLane removes a firing lane head from the top of the heap and files
+// the lane's successor, if any, with its original key. A successor bound
+// for the heap takes the head's place at the root, which saves the
+// separate pop and push.
+//
+//vca:hotpath lane advance, once per in-order lane delivery
+func (e *Engine) popLane(l *Lane) {
+	succ := l.advance()
+	if succ == nil {
+		e.heapPop()
+		return
+	}
+	if e.wheel.insert(e.now, succ) {
+		e.wheelIns++
+		e.heapPop()
+		return
+	}
+	e.heapIns++
+	e.heap[0] = succ
+	e.siftDown(0)
 }
 
 // Run executes events until none remain.
@@ -617,9 +680,10 @@ func (e *Engine) advanceTo(t time.Duration) {
 	}
 }
 
-// Pending reports the number of live (non-cancelled) events still queued.
+// Pending reports the number of live (non-cancelled) events still queued,
+// including deliveries waiting in lanes.
 func (e *Engine) Pending() int {
-	n := 0
+	n := e.laned
 	for _, ev := range e.heap {
 		if !ev.cancelled {
 			n++
@@ -641,7 +705,11 @@ func (e *Engine) Pending() int {
 
 func (e *Engine) heapPush(ev *event) {
 	e.heap = append(e.heap, ev)
-	e.siftUp(len(e.heap) - 1)
+	n := len(e.heap)
+	if n > e.heapHW {
+		e.heapHW = n
+	}
+	e.siftUp(n - 1)
 }
 
 func (e *Engine) heapPop() *event {
