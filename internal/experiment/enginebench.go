@@ -5,6 +5,7 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"time"
 
 	"vcalab/internal/cascade"
@@ -35,10 +36,10 @@ type EngineBenchConfig struct {
 	RouteParticipants int
 	RouteDur          time.Duration
 	// Shards > 1 adds the sharded macro section: a ShardParticipants-
-	// party cascaded call timed once on one engine and once region-
-	// sharded Shards ways, reporting the speedup and the conservative-
-	// window accounting behind it. Off by default — the headline macro
-	// numbers stay single-threaded.
+	// party cascaded call timed on one engine and region-sharded Shards
+	// ways, in Runs alternating pairs, reporting the median speedup and
+	// the conservative-window accounting behind it. Off by default — the
+	// headline macro numbers stay single-threaded.
 	Shards int
 	// ShardParticipants sizes the sharded macro call (default 48,
 	// spread over Regions: the scale workload the shards exist for).
@@ -48,6 +49,11 @@ type EngineBenchConfig struct {
 	// on every link, so the NACK/RTX/TWCC path is hot in the profile.
 	// Off by default — the headline macro numbers stay recovery-free.
 	Recovery bool
+	// Runs is how many times the macro and the scheduler micro are timed,
+	// interleaved, and how many sequential/sharded pairs the sharded
+	// section times (default 5). Each reports its median run, so a
+	// single noisy run cannot move a gated figure.
+	Runs int
 }
 
 func (c *EngineBenchConfig) defaults() {
@@ -75,11 +81,16 @@ func (c *EngineBenchConfig) defaults() {
 	if c.ShardParticipants == 0 {
 		c.ShardParticipants = 48
 	}
+	if c.Runs == 0 {
+		c.Runs = 5
+	}
 }
 
 // EngineBenchResult reports the engine's throughput and allocation
 // behaviour. Macro figures come from the cascaded-call workload; micro
-// figures isolate the scheduler itself.
+// figures isolate the scheduler itself. Both are the median of the
+// configured runs: the macro's figures are all taken from its median run
+// by events/s, and MacroEventsPerSecondRuns lists every run's.
 type EngineBenchResult struct {
 	Events                  uint64  `json:"events"`
 	WallSeconds             float64 `json:"wall_seconds"`
@@ -87,6 +98,8 @@ type EngineBenchResult struct {
 	AllocsPerEvent          float64 `json:"allocs_per_event"`
 	BytesPerEvent           float64 `json:"bytes_per_event"`
 	SimSecondsPerWallSecond float64 `json:"sim_seconds_per_wall_second"`
+
+	MacroEventsPerSecondRuns []float64 `json:"macro_events_per_second_runs,omitempty"`
 
 	MicroEventsPerSecond float64 `json:"micro_events_per_second"`
 	MicroAllocsPerEvent  float64 `json:"micro_allocs_per_event"`
@@ -155,8 +168,13 @@ type ShardedBenchResult struct {
 	Events          uint64  `json:"events"`
 	WallSeconds     float64 `json:"wall_seconds"`
 	EventsPerSecond float64 `json:"events_per_second"`
-	Speedup         float64 `json:"speedup"`
-	OutputMatches   bool    `json:"output_matches_sequential"`
+	// Speedup is the median over the timed pairs of the sequential wall
+	// time over the sharded one; the wall times and the per-shard figures
+	// below come from that median pair, and SpeedupPairs lists every
+	// pair's ratio. OutputMatches holds only if every pair matched.
+	Speedup       float64   `json:"speedup"`
+	SpeedupPairs  []float64 `json:"speedup_pairs,omitempty"`
+	OutputMatches bool      `json:"output_matches_sequential"`
 
 	// Windows is the number of conservative synchronization windows;
 	// ShardEventsPerSecond is each shard's throughput over its busy
@@ -174,12 +192,68 @@ type ShardedBenchResult struct {
 // characterize one engine/core, independent of sweep parallelism.
 func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 	cfg.defaults()
-	var res EngineBenchResult
 
-	// --- macro: one cascaded call on one engine ---
+	// --- macro and bare-scheduler micro, interleaved so that host drift
+	// moves both alike (the -check gate normalizes one by the other) ---
+	macros := make([]EngineBenchResult, cfg.Runs)
+	macroEPS := make([]float64, cfg.Runs)
+	microEPS := make([]float64, cfg.Runs)
+	microAllocs := make([]float64, cfg.Runs)
+	for i := range macros {
+		macros[i] = runMacroBench(&cfg)
+		macroEPS[i] = macros[i].EventsPerSecond
+		microEPS[i], microAllocs[i] = runMicroBench(&cfg)
+	}
+	res := macros[medianRun(macroEPS)]
+	res.MacroEventsPerSecondRuns = macroEPS
+	m := medianRun(microEPS)
+	res.MicroEventsPerSecond, res.MicroAllocsPerEvent = microEPS[m], microAllocs[m]
+
+	// --- routing micro: dense single-SFU fan-out, unconstrained links ---
+	// With no serialization or queueing, almost every event is a packet
+	// arrival or departure, and the SFU's forward path (participant-ID
+	// table lookups, fan-out, per-leg rewrite) dominates the profile —
+	// the workload the dense routing tables exist for. Meet exercises the
+	// richest path (simulcast selection + rate tracking + allocation).
+	re := sim.New(cfg.Seed)
+	rt := netem.NewRouter("rt")
+	sfuHost := netem.NewHost(re, "sfu")
+	netem.Attach(re, sfuHost, rt, netem.LinkConfig{Delay: time.Millisecond})
+	var hosts []*netem.Host
+	for i := 0; i < cfg.RouteParticipants; i++ {
+		h := netem.NewHost(re, fmt.Sprintf("c%d", i+1))
+		netem.Attach(re, h, rt, netem.LinkConfig{Delay: time.Millisecond})
+		hosts = append(hosts, h)
+	}
+	routeCall := vca.NewCall(re, vca.Meet(), sfuHost, hosts, vca.CallOptions{Seed: cfg.Seed})
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	routeCall.Start()
+	re.RunUntil(cfg.RouteDur)
+	routeCall.Stop()
+	routeWall := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	if ev := re.Processed(); ev > 0 {
+		res.RouteEventsPerSecond = float64(ev) / routeWall.Seconds()
+		res.RouteAllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(ev)
+	}
+
+	if cfg.Shards > 1 {
+		res.Sharded = runShardedBench(cfg)
+	}
+	if cfg.Recovery {
+		res.Recovery = runRecoveryBench(cfg)
+	}
+	return res
+}
+
+// runMacroBench times one macro run: the cascaded call on one engine.
+func runMacroBench(cfg *EngineBenchConfig) EngineBenchResult {
+	var res EngineBenchResult
 	eng := sim.New(cfg.Seed)
-	topo := benchTopology(&cfg, cfg.Participants)
-	mesh := cascade.Build(eng, topo)
+	mesh := cascade.Build(eng, benchTopology(cfg, cfg.Participants))
 	call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
 
 	var m0, m1 runtime.MemStats
@@ -213,8 +287,12 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 		}
 		res.LinkDrops += l.Drops
 	}
+	return res
+}
 
-	// --- micro: bare scheduler, no protocol machinery ---
+// runMicroBench times one run of the bare scheduler, with no protocol
+// machinery, and returns its events/s and allocs/event.
+func runMicroBench(cfg *EngineBenchConfig) (eventsPerSecond, allocsPerEvent float64) {
 	me := sim.New(cfg.Seed)
 	remaining := cfg.MicroEvents
 	var chain func()
@@ -233,55 +311,30 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 	for i := 0; i < 16; i++ {
 		me.Every(time.Duration(i+1)*10*time.Millisecond, func() {})
 	}
+	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	start = time.Now()
+	start := time.Now()
 	for remaining > 0 && me.Step() {
 	}
-	microWall := time.Since(start)
+	wall := time.Since(start)
 	runtime.ReadMemStats(&m1)
-	if ev := me.Processed(); ev > 0 {
-		res.MicroEventsPerSecond = float64(ev) / microWall.Seconds()
-		res.MicroAllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(ev)
+	ev := me.Processed()
+	if ev == 0 {
+		return 0, 0
 	}
+	return float64(ev) / wall.Seconds(), float64(m1.Mallocs-m0.Mallocs) / float64(ev)
+}
 
-	// --- routing micro: dense single-SFU fan-out, unconstrained links ---
-	// With no serialization or queueing, almost every event is a packet
-	// arrival or departure, and the SFU's forward path (participant-ID
-	// table lookups, fan-out, per-leg rewrite) dominates the profile —
-	// the workload the dense routing tables exist for. Meet exercises the
-	// richest path (simulcast selection + rate tracking + allocation).
-	re := sim.New(cfg.Seed)
-	rt := netem.NewRouter("rt")
-	sfuHost := netem.NewHost(re, "sfu")
-	netem.Attach(re, sfuHost, rt, netem.LinkConfig{Delay: time.Millisecond})
-	var hosts []*netem.Host
-	for i := 0; i < cfg.RouteParticipants; i++ {
-		h := netem.NewHost(re, fmt.Sprintf("c%d", i+1))
-		netem.Attach(re, h, rt, netem.LinkConfig{Delay: time.Millisecond})
-		hosts = append(hosts, h)
+// medianRun returns the index of the median of vs (the upper median for
+// an even count).
+func medianRun(vs []float64) int {
+	idx := make([]int, len(vs))
+	for i := range idx {
+		idx[i] = i
 	}
-	routeCall := vca.NewCall(re, vca.Meet(), sfuHost, hosts, vca.CallOptions{Seed: cfg.Seed})
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start = time.Now()
-	routeCall.Start()
-	re.RunUntil(cfg.RouteDur)
-	routeCall.Stop()
-	routeWall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	if ev := re.Processed(); ev > 0 {
-		res.RouteEventsPerSecond = float64(ev) / routeWall.Seconds()
-		res.RouteAllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(ev)
-	}
-
-	if cfg.Shards > 1 {
-		res.Sharded = runShardedBench(cfg)
-	}
-	if cfg.Recovery {
-		res.Recovery = runRecoveryBench(cfg)
-	}
-	return res
+	sort.SliceStable(idx, func(a, b int) bool { return vs[idx[a]] < vs[idx[b]] })
+	return idx[len(idx)/2]
 }
 
 // runRecoveryBench times the macro cascaded call with loss recovery
@@ -344,14 +397,31 @@ func benchFingerprint(mesh *cascade.Mesh) (delivered, dropped uint64) {
 	return delivered, dropped
 }
 
-// runShardedBench times the ShardParticipants-party cascaded call once
-// sequentially and once region-sharded, on identical seeds.
+// runShardedBench times the ShardParticipants-party cascaded call
+// sequentially and region-sharded, on identical seeds, in cfg.Runs
+// alternating pairs, and reports the median pair.
 func runShardedBench(cfg EngineBenchConfig) *ShardedBenchResult {
 	topo := benchTopology(&cfg, cfg.ShardParticipants)
 	plan := cascade.PlanShards(topo, cfg.Shards)
 	if plan.NumShards <= 1 {
 		return nil // no positive cross-shard delay floor: nothing to time
 	}
+	pairs := make([]*ShardedBenchResult, cfg.Runs)
+	speedups := make([]float64, cfg.Runs)
+	matches := true
+	for i := range pairs {
+		pairs[i] = runShardedPair(&cfg, topo, plan)
+		speedups[i] = pairs[i].Speedup
+		matches = matches && pairs[i].OutputMatches
+	}
+	sb := pairs[medianRun(speedups)]
+	sb.SpeedupPairs = speedups
+	sb.OutputMatches = matches
+	return sb
+}
+
+// runShardedPair times the call once on one engine, then once sharded.
+func runShardedPair(cfg *EngineBenchConfig, topo cascade.Topology, plan cascade.ShardPlan) *ShardedBenchResult {
 	sb := &ShardedBenchResult{
 		Shards: plan.NumShards, Participants: cfg.ShardParticipants,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),

@@ -204,10 +204,6 @@ type Link struct {
 	// destination shard, so it gets that shard's tracer instead.
 	dTracer *obs.Tracer
 
-	// lane carries the propagation stage: deliveries leave in send order
-	// and, with a fixed delay, come due in it too, so only the earliest
-	// one sits in the engine's heap (see sim.Lane).
-	lane sim.Lane
 	// handoff, when set, makes this a shard-boundary link: instead of
 	// scheduling the propagation event locally, deliverAfter posts it to
 	// the mailbox, and the Group injects it into the destination shard's
@@ -268,9 +264,7 @@ func NewLink(eng *sim.Engine, name string, cfg LinkConfig, dst Handler) *Link {
 	if cfg.RateBps > 0 && cfg.QueueBytes == 0 {
 		cfg.QueueBytes = DefaultQueueBytes(cfg.RateBps)
 	}
-	l := &Link{name: name, eng: eng, cfg: cfg, dst: dst}
-	l.lane.Init(eng, l)
-	return l
+	return &Link{name: name, eng: eng, cfg: cfg, dst: dst}
 }
 
 // Name returns the label the link was created with.
@@ -450,13 +444,12 @@ func (l *Link) deliverAfter(pkt *Packet, d time.Duration) {
 		l.handoff.Post(now+d, now, l.eng.TakeSeq(), pkt)
 		return
 	}
-	l.lane.After(d, pkt)
+	l.eng.ScheduleArg(d, l, pkt)
 }
 
 // OnArgEvent implements sim.ArgHandler: one packet finished propagating.
-// Many such events are in flight per link, queued in the link's lane;
-// each carries its packet in the pooled event's arg slot, so the transit
-// path allocates nothing. On a
+// Many such events are in flight per link; each carries its packet in the
+// pooled event's arg slot, so the transit path allocates nothing. On a
 // boundary link this runs on the destination shard; the delivery-side
 // counters below are written only here, never by the send path, so the
 // split needs no synchronization beyond the window barrier.

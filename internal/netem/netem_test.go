@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -373,6 +374,41 @@ func BenchmarkLinkInFlight(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSend(eng, h, l, step)
+	}
+}
+
+// BenchmarkRouterFanOut is the SFU-to-clients shape: one router fans
+// each packet out to 23 unconstrained 2 ms downlinks, one pooled copy per
+// client, with about 30 fan-outs in flight. One op is one fan-out.
+func BenchmarkRouterFanOut(b *testing.B) {
+	const clients, inFlight = 23, 30
+	eng := sim.New(1)
+	src := NewHost(eng, "sfu")
+	r := NewRouter("r")
+	var to [clients]Addr
+	for i := range to {
+		h := NewHost(eng, fmt.Sprintf("c%d", i))
+		h.HandleFunc(1, func(*Packet) {})
+		Attach(eng, h, r, LinkConfig{Delay: 2 * time.Millisecond})
+		to[i] = Addr{Host: h.Name, Port: 1}
+	}
+	step := 2 * time.Millisecond / inFlight
+	fanOut := func() {
+		for _, a := range to {
+			pkt := src.NewPacket()
+			pkt.Size = 1200
+			pkt.To = a
+			r.Deliver(pkt)
+		}
+		eng.RunUntil(eng.Now() + step)
+	}
+	for i := 0; i < 2*inFlight; i++ {
+		fanOut()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fanOut()
 	}
 }
 

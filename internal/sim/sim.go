@@ -30,13 +30,14 @@
 //     when virtual time reaches its start, which preserves the exact
 //     total order because flushing can only happen at or before an
 //     event's due time.
-//   - Lanes (lane.go) keep a link's in-flight deliveries out of the heap.
-//     Deliveries on a fixed-delay link come due in the order they were
-//     sent, so a lane files only its head and chains the rest in FIFO
-//     order, each already keyed; the successor is filed when the head
-//     fires. A delivery due before the lane's tail (jitter, a delay cut)
-//     is filed directly. The heap then holds one entry per busy link
-//     rather than one per packet in flight, and the total order is
+//   - Delay lanes (lane.go) keep in-flight ScheduleArg events — the
+//     packet path's propagation deliveries — out of the heap. Events
+//     filed on one engine with the same delay come due in filing order,
+//     already sorted by their full key, so the engine keeps one FIFO per
+//     distinct delay, shared by every link with that delay: only its
+//     head is filed, and the successor is filed when the head leaves the
+//     heap. The heap then holds one entry per in-flight delay rather
+//     than one per busy link or per packet, and the total order is
 //     unchanged.
 //   - Hot callers schedule closure-free events against the Handler and
 //     ArgHandler interfaces instead of func() closures; the packet path
@@ -96,17 +97,17 @@ type event struct {
 	// unrelated reuse.
 	gen       uint32
 	cancelled bool
-
-	// lane is set on deliveries filed through a Lane's FIFO: when such
-	// an event fires, its lane's next delivery is filed.
-	lane *Lane
+	// lane is 1 + the index of the engine delay lane the event was filed
+	// through, or 0: when a lane head leaves the heap, its lane's next
+	// event is filed.
+	lane uint8
 
 	fn  func()
 	h   Handler
 	ah  ArgHandler
 	arg any
 
-	// next links free-list entries and wheel-slot chains.
+	// next links free-list entries, wheel-slot chains and lane chains.
 	next *event
 }
 
@@ -217,9 +218,8 @@ type Engine struct {
 	// heapHW is the peak length of the ready heap. Unlike liveHW it
 	// excludes events waiting in the wheel or in lanes.
 	heapHW int
-	// laned counts events waiting in lanes behind their lane's head:
-	// keyed and live, but filed in neither the wheel nor the heap.
-	laned int
+	// lanes are the delay lanes ScheduleArg files through (lane.go).
+	lanes [numLanes]lane
 	// wheelIns/heapIns count insertions filed through the timer wheel
 	// vs pushed straight onto the heap — the wheel hit ratio is the
 	// scheduler's cheapest health signal.
@@ -259,8 +259,9 @@ func (e *Engine) LiveHighWater() int { return e.liveHW }
 
 // HeapHighWater reports the peak length of the ready heap over the
 // engine's lifetime. Events parked in the timer wheel or waiting behind
-// a lane's head count toward LiveHighWater but not here, so the gap
-// between the two is what the wheel and the lanes keep out of the heap.
+// a delay lane's head count toward LiveHighWater but not here, so the
+// gap between the two is what the wheel and the lanes keep out of the
+// heap.
 func (e *Engine) HeapHighWater() int { return e.heapHW }
 
 // SchedulerInserts reports how many event insertions went through the
@@ -295,7 +296,7 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn, ev.h, ev.ah, ev.arg = nil, nil, nil, nil
-	ev.lane = nil
+	ev.lane = 0
 	ev.cancelled = false
 	ev.next = e.free
 	e.free = ev
@@ -403,11 +404,17 @@ func (e *Engine) AtHandler(t time.Duration, h Handler) Timer {
 
 // ScheduleArg runs h.OnArgEvent(now, arg) after delay. This is the packet
 // path's closure-free transit event: arg is typically a *netem.Packet.
+// A negative delay is treated as zero. The event is filed through the
+// engine's delay lane for delay (lane.go), which keeps the order it would
+// have had without lanes.
 func (e *Engine) ScheduleArg(delay time.Duration, h ArgHandler, arg any) Timer {
+	if delay < 0 {
+		delay = 0
+	}
 	ev := e.alloc()
 	ev.ah = h
 	ev.arg = arg
-	return e.add(e.now+delay, ev)
+	return e.addLaned(delay, ev)
 }
 
 // Ticker repeatedly invokes a callback at a fixed interval until stopped.
@@ -525,7 +532,10 @@ func (e *Engine) flushWheel(upTo time.Duration) {
 					nx := ev.next
 					ev.next = nil
 					w.count--
-					if ev.cancelled {
+					// A cancelled lane head still goes to the heap:
+					// peek collects it through popRoot, which files
+					// its lane's successors.
+					if ev.cancelled && ev.lane == 0 {
 						e.recycle(ev)
 					} else {
 						e.heapPush(ev)
@@ -561,7 +571,7 @@ func (e *Engine) peek() *event {
 		}
 		top := e.heap[0]
 		if top.cancelled {
-			e.heapPop()
+			e.popRoot(top)
 			e.recycle(top)
 			continue
 		}
@@ -577,11 +587,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.now = ev.at
-	if ev.lane != nil {
-		e.popLane(ev.lane)
-	} else {
-		e.heapPop()
-	}
+	e.popRoot(ev)
 	e.processed++
 	fn, h, ah, arg := ev.fn, ev.h, ev.ah, ev.arg
 	// Recycle before dispatch: the callback's own schedules reuse the
@@ -596,28 +602,6 @@ func (e *Engine) Step() bool {
 		h.OnEvent(e.now)
 	}
 	return true
-}
-
-// popLane removes a firing lane head from the top of the heap and files
-// the lane's successor, if any, with its original key. A successor bound
-// for the heap takes the head's place at the root, which saves the
-// separate pop and push.
-//
-//vca:hotpath lane advance, once per in-order lane delivery
-func (e *Engine) popLane(l *Lane) {
-	succ := l.advance()
-	if succ == nil {
-		e.heapPop()
-		return
-	}
-	if e.wheel.insert(e.now, succ) {
-		e.wheelIns++
-		e.heapPop()
-		return
-	}
-	e.heapIns++
-	e.heap[0] = succ
-	e.siftDown(0)
 }
 
 // Run executes events until none remain.
@@ -681,9 +665,16 @@ func (e *Engine) advanceTo(t time.Duration) {
 }
 
 // Pending reports the number of live (non-cancelled) events still queued,
-// including deliveries waiting in lanes.
+// including events waiting in delay lanes behind their lane's head.
 func (e *Engine) Pending() int {
-	n := e.laned
+	n := 0
+	for i := range e.lanes {
+		for ev := e.lanes[i].first; ev != nil; ev = ev.next {
+			if !ev.cancelled {
+				n++
+			}
+		}
+	}
 	for _, ev := range e.heap {
 		if !ev.cancelled {
 			n++
