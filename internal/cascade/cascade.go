@@ -72,6 +72,19 @@ func Assign(n, regions int) [][]string {
 	return out
 }
 
+// EvenTopology is the cascade the scale, dynamic, fuzz and bench
+// workloads share: n clients assigned round-robin (Assign) across
+// regions named "r0".."r<regions-1>", every directed inter-region link
+// configured as inter.
+func EvenTopology(n, regions int, inter netem.LinkConfig) Topology {
+	assign := Assign(n, regions)
+	topo := Topology{Default: inter}
+	for r := 0; r < regions; r++ {
+		topo.Regions = append(topo.Regions, Region{Name: fmt.Sprintf("r%d", r), Clients: assign[r]})
+	}
+	return topo
+}
+
 // Mesh is a built cascade topology: one router and SFU host per region,
 // client hosts attached to their home routers, and directed inter-region
 // links carrying all cross-region traffic (relayed media, per-hop or

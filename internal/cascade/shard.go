@@ -8,7 +8,7 @@
 // floor (a continental WAN hop): that floor is the conservative
 // lookahead. A topology whose cross-shard links have no positive delay
 // provides no lookahead, so PlanShards falls back to a single shard —
-// the caller then uses the plain sequential Build.
+// NewTrial then builds on one engine.
 package cascade
 
 import (
@@ -99,7 +99,7 @@ type ShardedMesh struct {
 // deterministically from seed; note per-link RNG streams (fractional
 // loss, jitter) differ from the sequential layout's single stream, so
 // only draw-free workloads are byte-identical across shard counts.
-// plan.NumShards must be > 1 — callers use Build for the sequential
+// plan.NumShards must be > 1 — NewTrial uses Build for the sequential
 // fallback.
 func BuildSharded(seed int64, topo Topology, plan ShardPlan) *ShardedMesh {
 	if plan.NumShards <= 1 {
@@ -149,11 +149,6 @@ func (m *ShardedMesh) currentLookahead() time.Duration {
 // BoundaryLinks returns the cross-shard inter links in deterministic
 // (ascending pair) order.
 func (m *ShardedMesh) BoundaryLinks() []*netem.Link { return m.boundary }
-
-// BoundaryDst returns the destination region index of BoundaryLinks()[i]
-// — instrumentation uses it to attach the destination shard's tracer to
-// the link's deliver side.
-func (m *ShardedMesh) BoundaryDst(i int) int { return m.dstOf[i] }
 
 // ShardTracers attaches per-shard tracers: every link records its
 // send-side events into its own shard's tracer, every boundary link's

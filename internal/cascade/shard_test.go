@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vcalab/internal/netem"
-	"vcalab/internal/sim"
 	"vcalab/internal/vca"
 )
 
@@ -40,67 +39,49 @@ func cascadeFingerprint(m *Mesh, call *vca.Call, now time.Duration) string {
 	return b.String()
 }
 
-// runCascadeTrial runs one 9-party/3-region Meet trial at the given
-// shard count (1 = plain sequential Build) and returns its fingerprint.
+// runCascadeTrial runs one 9-party/3-region Meet trial through Trial at
+// the given shard count (1 = one engine), checks that it drained clean,
+// and returns its fingerprint.
 func runCascadeTrial(t *testing.T, prof *vca.Profile, shards int) string {
 	t.Helper()
-	topo := threeRegionTopo()
 	const seed = 7
 	const dur = 20 * time.Second
-	var m *Mesh
-	var call *vca.Call
-	if plan := PlanShards(topo, shards); plan.NumShards > 1 {
-		if plan.NumShards != shards {
-			t.Fatalf("plan collapsed %d shards to %d", shards, plan.NumShards)
+	tr := NewTrial(seed, threeRegionTopo(), shards, prof, vca.CallOptions{Seed: seed})
+	defer tr.Close()
+	if got := tr.Shards(); got != shards {
+		t.Fatalf("trial planned %d shards, want %d", got, shards)
+	}
+	tr.Call.Start()
+	tr.RunUntil(dur)
+	tr.Call.Stop()
+	tr.Drain()
+	for k, e := range tr.Engines() {
+		if n := e.Live(); n != 0 {
+			t.Fatalf("shards=%d: engine %d leaked %d pooled events", shards, k, n)
 		}
-		sm := BuildSharded(seed, topo, plan)
-		defer sm.Group.Close()
-		m, call = sm.Mesh, sm.NewCall(prof, vca.CallOptions{Seed: seed})
-		call.Start()
-		sm.Group.RunUntil(dur)
-		call.Stop()
-		sm.Group.Run()
-		if live := sm.Group.Live(); live != 0 {
-			t.Fatalf("shards=%d: %d pooled events leaked", shards, live)
-		}
-		if pend := sm.Group.Pending(); pend != 0 {
-			t.Fatalf("shards=%d: %d events still pending after drain", shards, pend)
-		}
-		for _, l := range sm.BoundaryLinks() {
-			if n := l.BoundaryPoolLive(); n != 0 {
-				t.Fatalf("shards=%d: boundary link %s leaked %d envelopes", shards, l.Name(), n)
-			}
-		}
-		st := sm.Group.Stats()
-		if st.Windows == 0 {
-			t.Fatalf("shards=%d: no windows ran", shards)
-		}
-	} else {
-		if shards > 1 {
-			t.Fatalf("PlanShards refused %d shards on a 3-region topology", shards)
-		}
-		eng := sim.New(seed)
-		m = Build(eng, topo)
-		call = m.NewCall(prof, vca.CallOptions{Seed: seed})
-		call.Start()
-		eng.RunUntil(dur)
-		call.Stop()
-		eng.Run()
-		if live := eng.Live(); live != 0 {
-			t.Fatalf("sequential: %d pooled events leaked", live)
+		if n := e.Pending(); n != 0 {
+			t.Fatalf("shards=%d: engine %d has %d events still pending after drain", shards, k, n)
 		}
 	}
-	for ri, hosts := range m.Clients {
+	for _, l := range tr.BoundaryLinks() {
+		if n := l.BoundaryPoolLive(); n != 0 {
+			t.Fatalf("shards=%d: boundary link %s leaked %d envelopes", shards, l.Name(), n)
+		}
+	}
+	if shards > 1 && tr.Stats().Windows == 0 {
+		t.Fatalf("shards=%d: no windows ran", shards)
+	}
+	for ri, hosts := range tr.Mesh.Clients {
 		for _, h := range hosts {
 			if n := h.PoolLive(); n != 0 {
 				t.Fatalf("shards=%d: host %s leaked %d packets", shards, h.Name, n)
 			}
 		}
-		if n := m.SFUs[ri].PoolLive(); n != 0 {
-			t.Fatalf("shards=%d: %s leaked %d packets", shards, m.SFUs[ri].Name, n)
+		if n := tr.Mesh.SFUs[ri].PoolLive(); n != 0 {
+			t.Fatalf("shards=%d: %s leaked %d packets", shards, tr.Mesh.SFUs[ri].Name, n)
 		}
 	}
-	return cascadeFingerprint(m, call, dur)
+	return cascadeFingerprint(tr.Mesh, tr.Call, dur)
 }
 
 // TestShardedMatchesSequential is the cascade-level identity gate: the

@@ -11,7 +11,6 @@ import (
 	"vcalab/internal/netem"
 	"vcalab/internal/runner"
 	"vcalab/internal/scenario"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -124,8 +123,8 @@ type DynamicResult struct {
 
 // dynamicTrial is one repetition's raw measurements.
 type dynamicTrial struct {
-	down, freeze        float64
-	p50Ms, p95Ms, p99Ms float64
+	down float64
+	callQoE
 	// recovered[i]/ttrSec[i] follow the scenario's recovery points.
 	recovered []bool
 	ttrSec    []float64
@@ -148,67 +147,23 @@ func scenarioSalt(name string) int64 {
 func (cfg *DynamicConfig) runTrial(rep int) dynamicTrial {
 	seed := runner.Seed(cfg.Seed+scenarioSalt(cfg.Scenario.Name), rep)
 
-	assign := cascade.Assign(cfg.Participants, cfg.Regions)
-	topo := cascade.Topology{
-		Default: netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cfg.InterDelay},
-	}
-	for r := 0; r < cfg.Regions; r++ {
-		topo.Regions = append(topo.Regions, cascade.Region{
-			Name: fmt.Sprintf("r%d", r), Clients: assign[r],
-		})
-	}
-	var (
-		mesh *cascade.Mesh
-		sm   *cascade.ShardedMesh
-		eng  *sim.Engine // the control engine of a sharded run
-		call *vca.Call
-	)
-	if plan := cascade.PlanShards(topo, cfg.Shards); plan.NumShards > 1 {
-		sm = cascade.BuildSharded(seed, topo, plan)
-		defer sm.Group.Close()
-		mesh, eng = sm.Mesh, sm.Eng
-		call = sm.NewCall(cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	} else {
-		eng = sim.New(seed)
-		mesh = cascade.Build(eng, topo)
-		call = mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	}
-	tl := scenario.New(eng, call, scenario.MeshLinks(mesh), cfg.Scenario)
-	to := instrumentTrial(cfg.Obs, sm, eng, mesh, call, tl)
+	topo := cascade.EvenTopology(cfg.Participants, cfg.Regions,
+		netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cfg.InterDelay})
+	tr := cascade.NewTrial(seed, topo, cfg.Shards, cfg.Profile,
+		vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
+	defer tr.Close()
+	call := tr.Call
+	tl := scenario.New(tr.Eng, call, scenario.MeshLinks(tr.Mesh), cfg.Scenario)
+	to := instrumentTrial(cfg.Obs, tr, tl)
 	tl.Start() // events at t<=0 (a thinned starting roster) apply before the call starts
 	call.Start()
-	if sm != nil {
-		sm.Group.RunUntil(cfg.Dur)
-	} else {
-		eng.RunUntil(cfg.Dur)
-	}
+	tr.RunUntil(cfg.Dur)
 	call.Stop()
 
 	var t dynamicTrial
 	t.obs = to.finish()
 	t.down = call.C1().DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
-
-	var freezeSum float64
-	var freezeN int
-	var lats []float64
-	for _, cl := range call.Clients {
-		for _, origin := range cl.Origins() {
-			r := cl.Receiver(origin)
-			if r.DisplayedFrames() > 0 {
-				freezeSum += r.FreezeRatio()
-				freezeN++
-			}
-		}
-		for _, d := range cl.FrameLatencies(cfg.Warmup) {
-			lats = append(lats, d.Seconds()*1000)
-		}
-	}
-	if freezeN > 0 {
-		t.freeze = freezeSum / float64(freezeN)
-	}
-	if lp := stats.SortedPercentiles(lats, 50, 95, 99); lp != nil {
-		t.p50Ms, t.p95Ms, t.p99Ms = lp[0], lp[1], lp[2]
-	}
+	t.callQoE = measureQoE(call, cfg.Warmup)
 
 	// Recovery after each marked event: time until C1's 5 s rolling-median
 	// rate returns to 80% of the pre-scenario nominal — measured in the
@@ -273,19 +228,14 @@ func RunDynamic(cfg DynamicConfig) DynamicResult {
 		Profile: cfg.Profile.Name, Scenario: cfg.Scenario.Name,
 		N: cfg.Participants, Regions: cfg.Regions, InterMbps: cfg.InterMbps,
 	}
-	var downs, freezes, p50s, p95s, p99s []float64
+	var downs []float64
+	var qs []callQoE
 	for _, t := range trials {
 		downs = append(downs, t.down)
-		freezes = append(freezes, t.freeze)
-		p50s = append(p50s, t.p50Ms)
-		p95s = append(p95s, t.p95Ms)
-		p99s = append(p99s, t.p99Ms)
+		qs = append(qs, t.callQoE)
 	}
 	res.DownMbps = stats.Summarize(downs)
-	res.FreezeRatio = stats.Summarize(freezes)
-	res.LatP50Ms = stats.Summarize(p50s)
-	res.LatP95Ms = stats.Summarize(p95s)
-	res.LatP99Ms = stats.Summarize(p99s)
+	res.FreezeRatio, res.LatP50Ms, res.LatP95Ms, res.LatP99Ms = summarizeQoE(qs)
 
 	for pi, ev := range cfg.Scenario.RecoveryPoints() {
 		er := EventRecovery{Label: ev.Label, At: ev.At}

@@ -110,7 +110,7 @@ type EngineBenchResult struct {
 	// Previously-buried internals of the macro run, surfaced for the
 	// observability layer: the scheduler's pooled-event high-water mark,
 	// the ready heap's own high-water mark (events waiting in the timer
-	// wheel or behind a link lane's head count toward the first but not
+	// wheel or behind a delay lane's head count toward the first but not
 	// the second), the share of insertions the timer wheel absorbed, and
 	// the deepest queue / total drops across the topology's links.
 	EventHighWater        int     `json:"event_high_water"`
@@ -226,18 +226,14 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 		hosts = append(hosts, h)
 	}
 	routeCall := vca.NewCall(re, vca.Meet(), sfuHost, hosts, vca.CallOptions{Seed: cfg.Seed})
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	routeCall.Start()
-	re.RunUntil(cfg.RouteDur)
-	routeCall.Stop()
-	routeWall := time.Since(start)
-	runtime.ReadMemStats(&m1)
+	routeWall, routeMallocs, _ := measure(func() {
+		routeCall.Start()
+		re.RunUntil(cfg.RouteDur)
+		routeCall.Stop()
+	})
 	if ev := re.Processed(); ev > 0 {
 		res.RouteEventsPerSecond = float64(ev) / routeWall.Seconds()
-		res.RouteAllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(ev)
+		res.RouteAllocsPerEvent = float64(routeMallocs) / float64(ev)
 	}
 
 	if cfg.Shards > 1 {
@@ -252,20 +248,11 @@ func RunEngineBench(cfg EngineBenchConfig) EngineBenchResult {
 // runMacroBench times one macro run: the cascaded call on one engine.
 func runMacroBench(cfg *EngineBenchConfig) EngineBenchResult {
 	var res EngineBenchResult
-	eng := sim.New(cfg.Seed)
-	mesh := cascade.Build(eng, benchTopology(cfg, cfg.Participants))
-	call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
+	tr := newBenchTrial(cfg, cfg.Participants, 1, false)
+	defer tr.Close()
+	wall, mallocs, bytes := timeCall(tr, cfg.Dur)
 
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-
+	eng := tr.Eng
 	res.Events = eng.Processed()
 	res.WallSeconds = wall.Seconds()
 	if wall > 0 {
@@ -273,21 +260,52 @@ func runMacroBench(cfg *EngineBenchConfig) EngineBenchResult {
 		res.SimSecondsPerWallSecond = cfg.Dur.Seconds() / wall.Seconds()
 	}
 	if res.Events > 0 {
-		res.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(res.Events)
-		res.BytesPerEvent = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Events)
+		res.AllocsPerEvent = float64(mallocs) / float64(res.Events)
+		res.BytesPerEvent = float64(bytes) / float64(res.Events)
 	}
 	res.EventHighWater = eng.LiveHighWater()
 	res.HeapHighWater = eng.HeapHighWater()
 	if wheel, heap := eng.SchedulerInserts(); wheel+heap > 0 {
 		res.WheelInsertRatio = float64(wheel) / float64(wheel+heap)
 	}
-	for _, l := range mesh.Links() {
+	for _, l := range tr.Mesh.Links() {
 		if hw := l.QueueHighWater(); hw > res.MaxLinkQueueHighWater {
 			res.MaxLinkQueueHighWater = hw
 		}
 		res.LinkDrops += l.Drops
 	}
 	return res
+}
+
+// newBenchTrial builds the n-participant cascade the bench workloads
+// share, on one engine or region-sharded `shards` ways.
+func newBenchTrial(cfg *EngineBenchConfig, n, shards int, recovery bool) *cascade.Trial {
+	topo := cascade.EvenTopology(n, cfg.Regions,
+		netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cascade.DefaultInterDelay})
+	return cascade.NewTrial(cfg.Seed, topo, shards, cfg.Profile,
+		vca.CallOptions{Seed: cfg.Seed, Recovery: recovery})
+}
+
+// timeCall times the trial's call running for dur (see measure).
+func timeCall(tr *cascade.Trial, dur time.Duration) (wall time.Duration, mallocs, bytes uint64) {
+	return measure(func() {
+		tr.Call.Start()
+		tr.RunUntil(dur)
+		tr.Call.Stop()
+	})
+}
+
+// measure runs fn from a freshly collected heap and returns its wall
+// time and the heap allocations (count, bytes) it made.
+func measure(fn func()) (wall time.Duration, mallocs, bytes uint64) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	fn()
+	wall = time.Since(start)
+	runtime.ReadMemStats(&m1)
+	return wall, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
 // runMicroBench times one run of the bare scheduler, with no protocol
@@ -311,19 +329,15 @@ func runMicroBench(cfg *EngineBenchConfig) (eventsPerSecond, allocsPerEvent floa
 	for i := 0; i < 16; i++ {
 		me.Every(time.Duration(i+1)*10*time.Millisecond, func() {})
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for remaining > 0 && me.Step() {
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
+	wall, mallocs, _ := measure(func() {
+		for remaining > 0 && me.Step() {
+		}
+	})
 	ev := me.Processed()
 	if ev == 0 {
 		return 0, 0
 	}
-	return float64(ev) / wall.Seconds(), float64(m1.Mallocs-m0.Mallocs) / float64(ev)
+	return float64(ev) / wall.Seconds(), float64(mallocs) / float64(ev)
 }
 
 // medianRun returns the index of the median of vs (the upper median for
@@ -343,46 +357,22 @@ func medianRun(vs []float64) int {
 // regular packet path.
 func runRecoveryBench(cfg EngineBenchConfig) *RecoveryBenchResult {
 	const lossPct = 1.0
-	eng := sim.New(cfg.Seed)
-	mesh := cascade.Build(eng, benchTopology(&cfg, cfg.Participants))
-	call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed, Recovery: true})
-	for _, l := range mesh.Links() {
+	tr := newBenchTrial(&cfg, cfg.Participants, 1, true)
+	defer tr.Close()
+	for _, l := range tr.Mesh.Links() {
 		l.SetImpairment(lossPct/100, 0)
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
+	wall, mallocs, _ := timeCall(tr, cfg.Dur)
 
-	rb := &RecoveryBenchResult{LossPct: lossPct, Events: eng.Processed(), WallSeconds: wall.Seconds()}
+	rb := &RecoveryBenchResult{LossPct: lossPct, Events: tr.Eng.Processed(), WallSeconds: wall.Seconds()}
 	if wall > 0 {
 		rb.EventsPerSecond = float64(rb.Events) / wall.Seconds()
 	}
 	if rb.Events > 0 {
-		rb.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(rb.Events)
+		rb.AllocsPerEvent = float64(mallocs) / float64(rb.Events)
 	}
-	rb.NackedSeqs, rb.Retransmissions = call.NackRTXTotals()
+	rb.NackedSeqs, rb.Retransmissions = tr.Call.NackRTXTotals()
 	return rb
-}
-
-// benchTopology builds the n-participant cascade the bench workloads
-// share.
-func benchTopology(cfg *EngineBenchConfig, n int) cascade.Topology {
-	assign := cascade.Assign(n, cfg.Regions)
-	topo := cascade.Topology{
-		Default: netem.LinkConfig{RateBps: cfg.InterMbps * 1e6, Delay: cascade.DefaultInterDelay},
-	}
-	for r := 0; r < cfg.Regions; r++ {
-		topo.Regions = append(topo.Regions, cascade.Region{
-			Name: fmt.Sprintf("r%d", r), Clients: assign[r],
-		})
-	}
-	return topo
 }
 
 // benchFingerprint reduces a finished trial's observable outcome to the
@@ -401,16 +391,13 @@ func benchFingerprint(mesh *cascade.Mesh) (delivered, dropped uint64) {
 // sequentially and region-sharded, on identical seeds, in cfg.Runs
 // alternating pairs, and reports the median pair.
 func runShardedBench(cfg EngineBenchConfig) *ShardedBenchResult {
-	topo := benchTopology(&cfg, cfg.ShardParticipants)
-	plan := cascade.PlanShards(topo, cfg.Shards)
-	if plan.NumShards <= 1 {
-		return nil // no positive cross-shard delay floor: nothing to time
-	}
 	pairs := make([]*ShardedBenchResult, cfg.Runs)
 	speedups := make([]float64, cfg.Runs)
 	matches := true
 	for i := range pairs {
-		pairs[i] = runShardedPair(&cfg, topo, plan)
+		if pairs[i] = runShardedPair(&cfg); pairs[i] == nil {
+			return nil // no positive cross-shard delay floor: nothing to time
+		}
 		speedups[i] = pairs[i].Speedup
 		matches = matches && pairs[i].OutputMatches
 	}
@@ -421,39 +408,31 @@ func runShardedBench(cfg EngineBenchConfig) *ShardedBenchResult {
 }
 
 // runShardedPair times the call once on one engine, then once sharded.
-func runShardedPair(cfg *EngineBenchConfig, topo cascade.Topology, plan cascade.ShardPlan) *ShardedBenchResult {
+// It returns nil when the topology cannot be sharded.
+func runShardedPair(cfg *EngineBenchConfig) *ShardedBenchResult {
+	sh := newBenchTrial(cfg, cfg.ShardParticipants, cfg.Shards, false)
+	defer sh.Close()
+	if sh.Shards() <= 1 {
+		return nil
+	}
 	sb := &ShardedBenchResult{
-		Shards: plan.NumShards, Participants: cfg.ShardParticipants,
+		Shards: sh.Shards(), Participants: cfg.ShardParticipants,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
-	eng := sim.New(cfg.Seed)
-	mesh := cascade.Build(eng, topo)
-	call := mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
-	start := time.Now()
-	call.Start()
-	eng.RunUntil(cfg.Dur)
-	call.Stop()
-	seqWall := time.Since(start)
-	sb.SeqEvents = eng.Processed()
+	seq := newBenchTrial(cfg, cfg.ShardParticipants, 1, false)
+	defer seq.Close()
+	seqWall, _, _ := timeCall(seq, cfg.Dur)
+	sb.SeqEvents = seq.Eng.Processed()
 	sb.SeqWallSeconds = seqWall.Seconds()
 	if seqWall > 0 {
 		sb.SeqEventsPerSecond = float64(sb.SeqEvents) / seqWall.Seconds()
 	}
-	seqDelivered, seqDropped := benchFingerprint(mesh)
+	seqDelivered, seqDropped := benchFingerprint(seq.Mesh)
 
-	sm := cascade.BuildSharded(cfg.Seed, topo, plan)
-	defer sm.Group.Close()
-	shCall := sm.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed})
-	start = time.Now()
-	shCall.Start()
-	sm.Group.RunUntil(cfg.Dur)
-	shCall.Stop()
-	wall := time.Since(start)
-
-	sb.Events = sm.Eng.Processed()
-	for _, se := range sm.ShardEngines {
-		sb.Events += se.Processed()
+	wall, _, _ := timeCall(sh, cfg.Dur)
+	for _, e := range sh.Engines() {
+		sb.Events += e.Processed()
 	}
 	sb.WallSeconds = wall.Seconds()
 	if wall > 0 {
@@ -462,11 +441,11 @@ func runShardedPair(cfg *EngineBenchConfig, topo cascade.Topology, plan cascade.
 	if sb.WallSeconds > 0 && sb.SeqWallSeconds > 0 {
 		sb.Speedup = sb.SeqWallSeconds / sb.WallSeconds
 	}
-	delivered, dropped := benchFingerprint(sm.Mesh)
+	delivered, dropped := benchFingerprint(sh.Mesh)
 	sb.OutputMatches = sb.Events == sb.SeqEvents &&
 		delivered == seqDelivered && dropped == seqDropped
 
-	st := sm.Group.Stats()
+	st := sh.Stats()
 	sb.Windows = st.Windows
 	sb.MailboxHighWater = st.MailboxHighWater
 	sb.ShardBarrierWaitFrac = st.ShardBarrierWaitFrac

@@ -1,13 +1,11 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
 	"vcalab/internal/cascade"
 	"vcalab/internal/netem"
 	"vcalab/internal/runner"
-	"vcalab/internal/sim"
 	"vcalab/internal/stats"
 	"vcalab/internal/vca"
 )
@@ -92,62 +90,36 @@ type ScaleResult struct {
 
 // scaleTrial is one repetition's raw measurements.
 type scaleTrial struct {
-	regionDown          []float64
-	freeze              float64
-	utilMean, utilMax   float64
-	p50Ms, p95Ms, p99Ms float64
+	regionDown []float64
+	callQoE
+	utilMean, utilMax float64
 }
 
 // runTrial executes one (n, capacity, repetition) cell on a fresh engine.
 func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 	seed := cfg.Seed + int64(rep)*86243 + int64(n)*613 + int64(interMbps*1000)
-
-	assign := cascade.Assign(n, cfg.Regions)
-	topo := cascade.Topology{
-		Default: netem.LinkConfig{RateBps: interMbps * 1e6, Delay: cfg.InterDelay},
-	}
-	for r := 0; r < cfg.Regions; r++ {
-		topo.Regions = append(topo.Regions, cascade.Region{
-			Name: fmt.Sprintf("r%d", r), Clients: assign[r],
-		})
-	}
-	var (
-		mesh *cascade.Mesh
-		sm   *cascade.ShardedMesh
-		eng  *sim.Engine
-		call *vca.Call
-	)
-	if plan := cascade.PlanShards(topo, cfg.Shards); plan.NumShards > 1 {
-		sm = cascade.BuildSharded(seed, topo, plan)
-		defer sm.Group.Close()
-		mesh, eng = sm.Mesh, sm.Eng
-		call = sm.NewCall(cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	} else {
-		eng = sim.New(seed)
-		mesh = cascade.Build(eng, topo)
-		call = mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
-	}
+	topo := cascade.EvenTopology(n, cfg.Regions,
+		netem.LinkConfig{RateBps: interMbps * 1e6, Delay: cfg.InterDelay})
+	tr := cascade.NewTrial(seed, topo, cfg.Shards, cfg.Profile,
+		vca.CallOptions{Seed: seed, Recovery: cfg.Recovery})
+	defer tr.Close()
 
 	// Snapshot inter-link counters at warmup so utilization covers the
 	// steady state only. In a sharded run this is a control-engine
 	// global: it executes at a window barrier with every shard parked and
 	// advanced to the snapshot instant, so the counters it reads are
 	// exactly the sequential run's.
-	links := mesh.InterLinks()
+	links := tr.Mesh.InterLinks()
 	startBytes := make([]uint64, len(links))
-	eng.Schedule(cfg.Warmup, func() {
+	tr.Eng.Schedule(cfg.Warmup, func() {
 		for i, l := range links {
 			startBytes[i] = l.DeliveredBytes
 		}
 	})
 
-	call.Start()
-	if sm != nil {
-		sm.Group.RunUntil(cfg.Dur)
-	} else {
-		eng.RunUntil(cfg.Dur)
-	}
-	call.Stop()
+	tr.Call.Start()
+	tr.RunUntil(cfg.Dur)
+	tr.Call.Stop()
 
 	var t scaleTrial
 	span := (cfg.Dur - cfg.Warmup).Seconds()
@@ -166,39 +138,69 @@ func (cfg *ScaleConfig) runTrial(n int, interMbps float64, rep int) scaleTrial {
 		t.utilMean = utilSum / float64(len(links))
 	}
 
-	var freezeSum float64
-	var freezeN int
-	var lats []float64
 	flat := 0 // call.Clients is flattened in mesh.Clients order
-	for _, hosts := range mesh.Clients {
+	for _, hosts := range tr.Mesh.Clients {
 		var down float64
 		for range hosts {
-			cl := call.Clients[flat]
+			down += tr.Call.Clients[flat].DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
 			flat++
-			down += cl.DownMeter.MeanRateMbps(cfg.Warmup, cfg.Dur)
-			for _, origin := range cl.Origins() {
-				r := cl.Receiver(origin)
-				if r.DisplayedFrames() > 0 {
-					freezeSum += r.FreezeRatio()
-					freezeN++
-				}
-			}
-			for _, d := range cl.FrameLatencies(cfg.Warmup) {
-				lats = append(lats, d.Seconds()*1000)
-			}
 		}
 		if len(hosts) > 0 {
 			down /= float64(len(hosts))
 		}
 		t.regionDown = append(t.regionDown, down)
 	}
+	t.callQoE = measureQoE(tr.Call, cfg.Warmup)
+	return t
+}
+
+// callQoE is one trial's receive-side quality: the mean freeze ratio
+// over every (receiver, displayed origin) pair and the end-to-end frame
+// latency percentiles across all clients, in ms.
+type callQoE struct {
+	freeze              float64
+	p50Ms, p95Ms, p99Ms float64
+}
+
+// measureQoE reads a finished call's freeze ratios and the frame
+// latencies observed from warmup on, clients in call order.
+func measureQoE(call *vca.Call, warmup time.Duration) callQoE {
+	var q callQoE
+	var freezeSum float64
+	var freezeN int
+	var lats []float64
+	for _, cl := range call.Clients {
+		for _, origin := range cl.Origins() {
+			r := cl.Receiver(origin)
+			if r.DisplayedFrames() > 0 {
+				freezeSum += r.FreezeRatio()
+				freezeN++
+			}
+		}
+		for _, d := range cl.FrameLatencies(warmup) {
+			lats = append(lats, d.Seconds()*1000)
+		}
+	}
 	if freezeN > 0 {
-		t.freeze = freezeSum / float64(freezeN)
+		q.freeze = freezeSum / float64(freezeN)
 	}
 	if lp := stats.SortedPercentiles(lats, 50, 95, 99); lp != nil {
-		t.p50Ms, t.p95Ms, t.p99Ms = lp[0], lp[1], lp[2]
+		q.p50Ms, q.p95Ms, q.p99Ms = lp[0], lp[1], lp[2]
 	}
-	return t
+	return q
+}
+
+// summarizeQoE summarizes repetitions' QoE into the freeze-ratio and
+// p50/p95/p99 latency summaries, in repetition order.
+func summarizeQoE(qs []callQoE) (freeze, p50, p95, p99 stats.Summary) {
+	var freezes, p50s, p95s, p99s []float64
+	for _, q := range qs {
+		freezes = append(freezes, q.freeze)
+		p50s = append(p50s, q.p50Ms)
+		p95s = append(p95s, q.p95Ms)
+		p99s = append(p99s, q.p99Ms)
+	}
+	return stats.Summarize(freezes), stats.Summarize(p50s), stats.Summarize(p95s), stats.Summarize(p99s)
 }
 
 // RunScale executes the cascade sweep and returns one result per
@@ -229,28 +231,23 @@ func RunScale(cfg ScaleConfig) []ScaleResult {
 			Profile: cfg.Profile.Name, N: cd.n, Regions: cfg.Regions, InterMbps: cd.inter,
 		}
 		perRegion := make([][]float64, cfg.Regions)
-		var freezes, utilMeans, utilMaxes, p50s, p95s, p99s []float64
+		var qs []callQoE
+		var utilMeans, utilMaxes []float64
 		for rep := 0; rep < cfg.Reps; rep++ {
 			t := trials[ci*cfg.Reps+rep]
 			for r, d := range t.regionDown {
 				perRegion[r] = append(perRegion[r], d)
 			}
-			freezes = append(freezes, t.freeze)
+			qs = append(qs, t.callQoE)
 			utilMeans = append(utilMeans, t.utilMean)
 			utilMaxes = append(utilMaxes, t.utilMax)
-			p50s = append(p50s, t.p50Ms)
-			p95s = append(p95s, t.p95Ms)
-			p99s = append(p99s, t.p99Ms)
 		}
 		for r := 0; r < cfg.Regions; r++ {
 			res.RegionDownMbps = append(res.RegionDownMbps, stats.Summarize(perRegion[r]))
 		}
-		res.FreezeRatio = stats.Summarize(freezes)
+		res.FreezeRatio, res.LatP50Ms, res.LatP95Ms, res.LatP99Ms = summarizeQoE(qs)
 		res.RelayUtilMean = stats.Summarize(utilMeans)
 		res.RelayUtilMax = stats.Summarize(utilMaxes)
-		res.LatP50Ms = stats.Summarize(p50s)
-		res.LatP95Ms = stats.Summarize(p95s)
-		res.LatP99Ms = stats.Summarize(p99s)
 		out = append(out, res)
 	}
 	return out

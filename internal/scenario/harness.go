@@ -7,7 +7,6 @@ import (
 	"vcalab/internal/cascade"
 	"vcalab/internal/netem"
 	"vcalab/internal/obs"
-	"vcalab/internal/sim"
 	"vcalab/internal/vca"
 )
 
@@ -16,7 +15,7 @@ import (
 // invariants that every vcalab simulation owes, whatever the workload:
 //
 //   - the timeline finished (no event was scheduled past the run);
-//   - the drained engine holds zero live pooled events and zero pending
+//   - every drained engine holds zero live pooled events and zero pending
 //     events (sim.Engine.Live, the PR-3 leak detector);
 //   - the participant-ID space never grew past its build-time density and
 //     no receiver aliases a recycled ID (the PR-4 registry guarantees);
@@ -107,62 +106,24 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 		return violationf(out, "validate", "%v", err)
 	}
 
-	assign := cascade.Assign(cfg.Participants, cfg.Regions)
-	topo := cascade.Topology{
-		Default: netem.LinkConfig{RateBps: cfg.InterBps, Delay: cfg.InterDelay},
-	}
-	for r := 0; r < cfg.Regions; r++ {
-		topo.Regions = append(topo.Regions, cascade.Region{
-			Name: fmt.Sprintf("r%d", r), Clients: assign[r],
-		})
-	}
-	var (
-		mesh *cascade.Mesh
-		sm   *cascade.ShardedMesh
-		eng  *sim.Engine // the control engine of a sharded run
-		call *vca.Call
-	)
-	if plan := cascade.PlanShards(topo, cfg.Shards); plan.NumShards > 1 {
-		sm = cascade.BuildSharded(cfg.Seed, topo, plan)
-		defer sm.Group.Close()
-		mesh, eng = sm.Mesh, sm.Eng
-		call = sm.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed, Recovery: cfg.Recovery})
-	} else {
-		eng = sim.New(cfg.Seed)
-		mesh = cascade.Build(eng, topo)
-		call = mesh.NewCall(cfg.Profile, vca.CallOptions{Seed: cfg.Seed, Recovery: cfg.Recovery})
-	}
-	tl := New(eng, call, MeshLinks(mesh), sc)
+	topo := cascade.EvenTopology(cfg.Participants, cfg.Regions,
+		netem.LinkConfig{RateBps: cfg.InterBps, Delay: cfg.InterDelay})
+	tr := cascade.NewTrial(cfg.Seed, topo, cfg.Shards, cfg.Profile,
+		vca.CallOptions{Seed: cfg.Seed, Recovery: cfg.Recovery})
+	defer tr.Close()
+	mesh, call := tr.Mesh, tr.Call
+	tl := New(tr.Eng, call, MeshLinks(mesh), sc)
 	// Replay always runs traced: it both exercises the instrumented paths
 	// under fuzz and feeds the drop-conservation cross-check below. The
 	// ring may wrap on a loss-heavy scenario — that is fine, because the
 	// per-kind counts are cumulative. A sharded replay gets one tracer
 	// per shard plus the control tracer (churn + timeline), exactly the
 	// sharded experiment wiring.
-	ctrlTr := obs.NewTracer(1 << 12)
-	tracers := []*obs.Tracer{ctrlTr}
-	if sm != nil {
-		shardTr := make([]*obs.Tracer, len(sm.ShardEngines))
-		for k := range shardTr {
-			shardTr[k] = obs.NewTracer(1 << 12)
-			tracers = append(tracers, shardTr[k])
-		}
-		sm.ShardTracers(call, shardTr)
-		call.SetChurnTracer(ctrlTr)
-	} else {
-		for _, l := range mesh.Links() {
-			l.SetTracer(ctrlTr)
-		}
-		call.SetTracer(ctrlTr)
-	}
-	tl.SetTracer(ctrlTr)
+	tracers := tr.Trace(1 << 12)
+	tl.SetTracer(tracers[0])
 	tl.Start()
 	call.Start()
-	if sm != nil {
-		sm.Group.RunUntil(cfg.Dur)
-	} else {
-		eng.RunUntil(cfg.Dur)
-	}
+	tr.RunUntil(cfg.Dur)
 	call.Stop()
 
 	if !tl.Done() {
@@ -171,30 +132,21 @@ func Replay(sc Scenario, cfg HarnessConfig) []Violation {
 	}
 
 	// Drain: with the call stopped, every in-flight packet, model event
-	// and cancelled ticker must come home — on every shard.
-	if sm != nil {
-		sm.Group.Run()
-		for k, se := range sm.ShardEngines {
-			if n := se.Live(); n != 0 {
-				out = violationf(out, "event-pool", "shard %d: %d pooled engine events live after drain", k, n)
-			}
-			if n := se.Pending(); n != 0 {
-				out = violationf(out, "event-pool", "shard %d: %d events still pending after drain", k, n)
-			}
+	// and cancelled ticker must come home — on every engine (the control
+	// engine is engine 0, shards follow).
+	tr.Drain()
+	for k, e := range tr.Engines() {
+		if n := e.Live(); n != 0 {
+			out = violationf(out, "event-pool", "engine %d: %d pooled engine events live after drain", k, n)
 		}
-		for bi, l := range sm.BoundaryLinks() {
-			if n := l.BoundaryPoolLive(); n != 0 {
-				out = violationf(out, "packet-pool", "boundary link %s (dst region %d) leaks %d envelopes", l.Name(), sm.BoundaryDst(bi), n)
-			}
+		if n := e.Pending(); n != 0 {
+			out = violationf(out, "event-pool", "engine %d: %d events still pending after drain", k, n)
 		}
-	} else {
-		eng.Run()
 	}
-	if n := eng.Live(); n != 0 {
-		out = violationf(out, "event-pool", "%d pooled engine events live after drain", n)
-	}
-	if n := eng.Pending(); n != 0 {
-		out = violationf(out, "event-pool", "%d events still pending after drain", n)
+	for _, l := range tr.BoundaryLinks() {
+		if n := l.BoundaryPoolLive(); n != 0 {
+			out = violationf(out, "packet-pool", "boundary link %s leaks %d envelopes", l.Name(), n)
+		}
 	}
 
 	// Registry density and recycled-ID aliasing.
