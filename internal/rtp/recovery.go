@@ -183,6 +183,13 @@ func (q *NackQueue) Len() int { return len(q.entries) }
 // Highest returns the highest sequence number observed so far.
 func (q *NackQueue) Highest() (uint16, bool) { return q.highest, q.started }
 
+// NackPair is one RFC 4585 generic-NACK entry: a lost packet (PID) and a
+// bitmask (BLP) of losses among the 16 seqs that follow it.
+type NackPair struct {
+	PacketID uint16
+	Bitmask  uint16
+}
+
 // BuildNackPairs packs an ascending seq list into RFC 4585 (PID, BLP)
 // pairs: each pair names one lost packet plus a bitmask of losses in the
 // following 16 seqs.

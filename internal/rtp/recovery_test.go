@@ -1,6 +1,7 @@
 package rtp
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -178,16 +179,13 @@ func TestTransportCCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, n, err := UnmarshalRTCP(buf)
-	if err != nil {
+	if buf[0] != Version<<6|FMTTWCC || buf[1] != TypeRTPFB ||
+		(int(binary.BigEndian.Uint16(buf[2:]))+1)*4 != len(buf) {
+		t.Fatalf("RTCP header % x for a %d-byte report", buf[:4], len(buf))
+	}
+	got := &TransportCC{}
+	if err := got.unmarshalBody(buf[4:]); err != nil {
 		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", n, len(buf))
-	}
-	got, ok := out.(*TransportCC)
-	if !ok {
-		t.Fatalf("decoded %T, want *TransportCC", out)
 	}
 	if !reflect.DeepEqual(got, in) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, in)
@@ -246,5 +244,39 @@ func TestSentHistory(t *testing.T) {
 	}
 	if at, size, ok := h.Lookup(13); !ok || at != 2000 || size != 300 {
 		t.Fatal("seq 13 should be present")
+	}
+}
+
+func TestBuildNackPairs(t *testing.T) {
+	cases := []struct {
+		name  string
+		seqs  []uint16
+		pairs int
+	}{
+		{"single", []uint16{7}, 1},
+		{"gap of 16 fits the bitmask", []uint16{100, 116}, 1},
+		{"gap of 17 starts a new pair", []uint16{100, 117}, 2},
+		{"run of 17", []uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1},
+		{"run of 18", []uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, 2},
+		{"wraps 65535 to 0", []uint16{65533, 65535, 0, 2}, 1},
+		{"pair starts at 65535", []uint16{65535, 15, 16}, 2},
+	}
+	for _, tc := range cases {
+		pairs := BuildNackPairs(tc.seqs)
+		if len(pairs) != tc.pairs {
+			t.Errorf("%s: %d pairs %v, want %d", tc.name, len(pairs), pairs, tc.pairs)
+		}
+		var got []uint16
+		for _, p := range pairs {
+			got = append(got, p.PacketID)
+			for i := 0; i < 16; i++ {
+				if p.Bitmask&(1<<i) != 0 {
+					got = append(got, p.PacketID+uint16(i)+1)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, tc.seqs) {
+			t.Errorf("%s: pairs %v expand to %v, want %v", tc.name, pairs, got, tc.seqs)
+		}
 	}
 }

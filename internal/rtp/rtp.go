@@ -1,6 +1,8 @@
-// Package rtp implements the RTP wire format of RFC 3550 plus the RTCP
-// feedback messages the paper's VCAs rely on (sender/receiver reports,
-// PLI, FIR, REMB, generic NACK).
+// Package rtp implements the RTP header wire format of RFC 3550 plus the
+// packet-level loss-recovery primitives the simulated VCAs use: generic
+// NACK pairs, the RTX retransmission buffer and transport-wide CC
+// feedback. The simulator carries RTCP as typed messages with wire sizes,
+// so no other RTCP codec is needed.
 //
 // The emulator moves typed packets for speed, but every media packet it
 // moves carries a real, marshalable RTP header, so traces written by

@@ -17,8 +17,12 @@ import (
 // chunk encoding: a base seq, a reference time and one 32-bit arrival
 // delta per packet, -1 marking a loss.
 
-// FMTTWCC is the RTPFB feedback message type for transport-wide CC.
-const FMTTWCC = 15
+// TypeRTPFB is the RTCP transport-layer feedback packet type (RFC 4585);
+// FMTTWCC is its feedback message type for transport-wide CC.
+const (
+	TypeRTPFB = 205
+	FMTTWCC   = 15
+)
 
 // DeltaLost marks a never-received packet in TransportCC.DeltaUs.
 const DeltaLost = int32(-1)
@@ -34,12 +38,16 @@ type TransportCC struct {
 	DeltaUs    []int32
 }
 
-// MarshalRTCP implements RTCPPacket.
+// MarshalRTCP serializes the report, RTCP common header included.
 func (t *TransportCC) MarshalRTCP() ([]byte, error) {
 	if len(t.DeltaUs) > 0xffff {
 		return nil, fmt.Errorf("rtp: %d TWCC deltas exceeds 65535", len(t.DeltaUs))
 	}
-	buf := rtcpHeader(FMTTWCC, TypeRTPFB, 24+4*len(t.DeltaUs))
+	n := 24 + 4*len(t.DeltaUs)
+	buf := make([]byte, n)
+	buf[0] = Version<<6 | FMTTWCC
+	buf[1] = TypeRTPFB
+	binary.BigEndian.PutUint16(buf[2:], uint16(n/4-1))
 	binary.BigEndian.PutUint32(buf[4:], t.SenderSSRC)
 	binary.BigEndian.PutUint32(buf[8:], t.MediaSSRC)
 	binary.BigEndian.PutUint16(buf[12:], t.BaseSeq)

@@ -39,9 +39,11 @@
 //     heap. The heap then holds one entry per in-flight delay rather
 //     than one per busy link or per packet, and the total order is
 //     unchanged.
-//   - Hot callers schedule closure-free events against the Handler and
-//     ArgHandler interfaces instead of func() closures; the packet path
-//     (internal/netem) carries its *Packet through the event's arg slot.
+//   - Every event dispatches through the Handler or ArgHandler
+//     interface; the packet path (internal/netem) carries its *Packet
+//     through the event's arg slot. The func() forms (At, Schedule,
+//     Every) are adapters: a func value is pointer-shaped, so wrapping
+//     it as a Handler does not allocate.
 //   - Timer.Stop is a lazy cancellation: the event is marked dead and its
 //     struct is recycled when the heap or wheel next encounters it. Timer
 //     handles carry a generation counter so a stale handle can never
@@ -79,7 +81,14 @@ type ArgHandler interface {
 	OnArgEvent(now time.Duration, arg any)
 }
 
-// event is a pooled scheduler entry. Exactly one of fn, h or ah is set.
+// thunk adapts a func() to Handler, so the closure-taking forms share
+// the handler path.
+type thunk func()
+
+// OnEvent calls f().
+func (f thunk) OnEvent(time.Duration) { f() }
+
+// event is a pooled scheduler entry. Exactly one of h or ah is set.
 type event struct {
 	at time.Duration
 	// schedAt is the engine clock at the moment the event was filed. In a
@@ -102,7 +111,6 @@ type event struct {
 	// event is filed.
 	lane uint8
 
-	fn  func()
 	h   Handler
 	ah  ArgHandler
 	arg any
@@ -295,7 +303,7 @@ func (e *Engine) alloc() *event {
 // handles via the generation counter.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.h, ev.ah, ev.arg = nil, nil, nil, nil
+	ev.h, ev.ah, ev.arg = nil, nil, nil
 	ev.lane = 0
 	ev.cancelled = false
 	ev.next = e.free
@@ -384,9 +392,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
 // At runs fn at the absolute virtual time t. Times in the past are clamped
 // to now.
 func (e *Engine) At(t time.Duration, fn func()) Timer {
-	ev := e.alloc()
-	ev.fn = fn
-	return e.add(t, ev)
+	return e.AtHandler(t, thunk(fn))
 }
 
 // ScheduleHandler runs h.OnEvent after delay without allocating: the event
@@ -423,7 +429,6 @@ func (e *Engine) ScheduleArg(delay time.Duration, h ArgHandler, arg any) Timer {
 type Ticker struct {
 	eng      *Engine
 	interval time.Duration
-	fn       func()
 	h        Handler
 	timer    Timer
 	stopped  bool
@@ -434,9 +439,7 @@ type Ticker struct {
 // It panics if interval is not positive, since a zero-interval ticker would
 // prevent virtual time from ever advancing.
 func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
-	t := &Ticker{eng: e, interval: checkInterval(interval), fn: fn}
-	t.arm()
-	return t
+	return e.EveryHandler(interval, thunk(fn))
 }
 
 // EveryHandler runs h.OnEvent every interval — the closure-free form of
@@ -461,11 +464,7 @@ func (t *Ticker) OnEvent(now time.Duration) {
 		return
 	}
 	t.firing = true
-	if t.fn != nil {
-		t.fn()
-	} else {
-		t.h.OnEvent(now)
-	}
+	t.h.OnEvent(now)
 	t.firing = false
 	if !t.stopped {
 		t.arm()
@@ -589,16 +588,13 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.popRoot(ev)
 	e.processed++
-	fn, h, ah, arg := ev.fn, ev.h, ev.ah, ev.arg
+	h, ah, arg := ev.h, ev.ah, ev.arg
 	// Recycle before dispatch: the callback's own schedules reuse the
 	// still-hot struct, and its Timer handles are already invalidated.
 	e.recycle(ev)
-	switch {
-	case fn != nil:
-		fn()
-	case ah != nil:
+	if ah != nil {
 		ah.OnArgEvent(e.now, arg)
-	default:
+	} else {
 		h.OnEvent(e.now)
 	}
 	return true

@@ -400,20 +400,10 @@ func (c *Call) Leave(name string) {
 	if c.started {
 		cl.stop()
 	}
-	id := cl.id
+	c.resetSlot(cl.id)
 	n := len(c.active())
-	for i, s := range c.Servers {
-		if i == cl.region {
-			s.removeClient(id)
-		} else {
-			s.removeRemoteOrigin(id)
-		}
+	for _, s := range c.Servers {
 		s.setTotal(n)
-	}
-	for _, other := range c.Clients {
-		if other != cl {
-			other.dropOrigin(id)
-		}
 	}
 	cl.clearRecv()
 	c.reg.release(name)
@@ -488,11 +478,12 @@ func (c *Call) refreshSelection() {
 	}
 }
 
-// resetSlot clears every table entry a recycled ID indexes across all
-// servers and clients before the ID is reused.
+// resetSlot clears every table entry one participant ID indexes across
+// all servers and the other clients: when the participant leaves, and
+// again before its recycled ID is reused.
 func (c *Call) resetSlot(id int32) {
 	for _, s := range c.Servers {
-		s.resetSlot(id)
+		s.forget(id)
 	}
 	for _, cl := range c.Clients {
 		if cl.id != id {

@@ -62,9 +62,11 @@ type Client struct {
 	// --- hot-path caches ---
 	pool *mpPool // shared per-call media packet free list
 	// flows caches the per-stream accounting labels by rate key; flowRtcp
-	// is the feedback label. Building these per packet would allocate.
-	flows    [rkSVC + 1]string
-	flowRtcp string
+	// and flowSignal label the feedback and FIR flows. Building these per
+	// packet would allocate.
+	flows      [rkSVC + 1]string
+	flowRtcp   string
+	flowSignal string
 
 	// strayRecv backs Receiver() calls for names outside the call's
 	// registry (misspellings, probes): read-style lookups must never
@@ -106,21 +108,22 @@ type Client struct {
 
 func newClient(eng *sim.Engine, prof *Profile, name string, host *netem.Host, reg *registry, server string, region int, pool *mpPool, seed int64) *Client {
 	c := &Client{
-		Name:      name,
-		eng:       eng,
-		prof:      prof,
-		host:      host,
-		server:    server,
-		reg:       reg,
-		id:        reg.intern(name, false),
-		region:    region,
-		rng:       rand.New(rand.NewSource(seed)),
-		recv:      make([]*media.Receiver, reg.cap()),
-		pool:      pool,
-		flowRtcp:  prof.Name + "/" + name + "/rtcp",
-		UpMeter:   stats.NewMeter(time.Second),
-		DownMeter: stats.NewMeter(time.Second),
-		Recorder:  webrtcstats.NewRecorder(),
+		Name:       name,
+		eng:        eng,
+		prof:       prof,
+		host:       host,
+		server:     server,
+		reg:        reg,
+		id:         reg.intern(name, false),
+		region:     region,
+		rng:        rand.New(rand.NewSource(seed)),
+		recv:       make([]*media.Receiver, reg.cap()),
+		pool:       pool,
+		flowRtcp:   prof.Name + "/" + name + "/rtcp",
+		flowSignal: prof.Name + "/" + name + "/signal",
+		UpMeter:    stats.NewMeter(time.Second),
+		DownMeter:  stats.NewMeter(time.Second),
+		Recorder:   webrtcstats.NewRecorder(),
 	}
 	src := codec.NewSource(c.rng)
 	keyInt := prof.KeyInterval
@@ -193,7 +196,7 @@ func (c *Client) receiverByID(origin int32) *media.Receiver {
 		r = media.NewReceiver()
 		name := c.reg.name(origin)
 		r.OnFIR = func(now time.Duration) {
-			c.sendSignal(&FIRMsg{From: c.Name, Origin: name})
+			c.sendCtl(PortSignal, firWire, c.flowSignal, &FIRMsg{From: c.Name, Origin: name})
 		}
 		c.recv[origin] = r
 		i := sort.Search(len(c.recvOrder), func(i int) bool {
@@ -445,14 +448,16 @@ func (c *Client) send(mp *MediaPacket, wireBytes int) {
 	c.host.Send(pkt)
 }
 
-func (c *Client) sendSignal(payload any) {
-	c.host.Send(&netem.Packet{
-		Size:    firWire,
-		From:    netem.Addr{Host: c.Name, Port: PortSignal},
-		To:      netem.Addr{Host: c.server, Port: PortSignal},
-		Flow:    c.prof.Name + "/" + c.Name + "/signal",
-		Payload: payload,
-	})
+// sendCtl sends one control message (report, NACK, FIR) to the home
+// SFU's port of the same number.
+func (c *Client) sendCtl(port, size int, flow string, payload any) {
+	pkt := c.host.NewPacket()
+	pkt.Size = size
+	pkt.From = netem.Addr{Host: c.Name, Port: port}
+	pkt.To = netem.Addr{Host: c.server, Port: port}
+	pkt.Flow = flow
+	pkt.Payload = payload
+	c.host.Send(pkt)
 }
 
 // onMedia handles a forwarded media packet from the SFU, dispatching to
@@ -564,13 +569,8 @@ func (c *Client) recoveryTick(now time.Duration) {
 // per-leg sequence space.
 func (c *Client) sendNack(origin int32, seqs []uint16) {
 	pairs := rtp.BuildNackPairs(seqs)
-	pkt := c.host.NewPacket()
-	pkt.Size = nackWireBase + 4*len(pairs)
-	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
-	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
-	pkt.Flow = c.flowRtcp
-	pkt.Payload = &NackMsg{From: c.Name, FromID: c.id, Origin: origin, Pairs: pairs}
-	c.host.Send(pkt)
+	c.sendCtl(PortFeedback, nackWireBase+4*len(pairs), c.flowRtcp,
+		&NackMsg{From: c.Name, FromID: c.id, Origin: origin, Pairs: pairs})
 }
 
 // twccTick flushes the transport-wide arrival record into one report.
@@ -584,13 +584,8 @@ func (c *Client) twccTick(now time.Duration) {
 	if !ok {
 		return
 	}
-	pkt := c.host.NewPacket()
-	pkt.Size = twccWireBase + 4*len(rep.DeltaUs)
-	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
-	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
-	pkt.Flow = c.flowRtcp
-	pkt.Payload = &TWCCMsg{From: c.Name, FromID: c.id, Report: rep} //vcalint:ignore hotpath deliberate 10 Hz allocation: TWCC reports are rare relative to packets
-	c.host.Send(pkt)
+	msg := &TWCCMsg{From: c.Name, FromID: c.id, Report: rep} //vcalint:ignore hotpath deliberate 10 Hz allocation: TWCC reports are rare relative to packets
+	c.sendCtl(PortFeedback, twccWireBase+4*len(rep.DeltaUs), c.flowRtcp, msg)
 }
 
 // onFeedback handles receiver reports about this client's uplink.
@@ -602,27 +597,9 @@ func (c *Client) onFeedback(pkt *netem.Packet) {
 	if !ok {
 		return
 	}
-	st := fb.Stats
-	rtt := 2*st.QueueDelay + 40*time.Millisecond
-	c.lastRTT = rtt
-	var oldBps float64
-	if c.tracer != nil {
-		oldBps = c.ccUp.TargetBps()
-	}
-	c.ccUp.OnFeedback(cc.Feedback{
-		Now:            c.eng.Now(),
-		Interval:       st.Interval,
-		RTT:            rtt,
-		LossFraction:   st.LossFraction,
-		ReceiveRateBps: st.RateBps,
-		QueueDelay:     st.QueueDelay,
-	})
-	if c.tracer != nil {
-		if newBps := c.ccUp.TargetBps(); newBps != oldBps {
-			c.tracer.CC(c.eng.Now(), c.Name, "",
-				ccReason(st.LossFraction, st.QueueDelay, oldBps, newBps), oldBps, newBps)
-		}
-	}
+	f := statsFeedback(c.eng.Now(), fb.Stats)
+	c.lastRTT = f.RTT
+	feed(c.ccUp, f, c.tracer, c.Name, "")
 }
 
 // onSignal handles FIR and allocation messages arriving from the server.
@@ -691,13 +668,8 @@ func (c *Client) feedbackTick(now time.Duration) {
 	if agg.Interval == 0 {
 		agg.Interval = 100 * time.Millisecond
 	}
-	pkt := c.host.NewPacket()
-	pkt.Size = feedbackWire
-	pkt.From = netem.Addr{Host: c.Name, Port: PortFeedback}
-	pkt.To = netem.Addr{Host: c.server, Port: PortFeedback}
-	pkt.Flow = c.flowRtcp
-	pkt.Payload = &FeedbackMsg{From: c.Name, FromID: c.id, Stats: agg} //vcalint:ignore hotpath deliberate allocation: receiver reports fire once per feedback interval, not per packet
-	c.host.Send(pkt)
+	msg := &FeedbackMsg{From: c.Name, FromID: c.id, Stats: agg} //vcalint:ignore hotpath deliberate allocation: receiver reports fire once per feedback interval, not per packet
+	c.sendCtl(PortFeedback, feedbackWire, c.flowRtcp, msg)
 }
 
 // statsTick samples the WebRTC-stats emulation (1 Hz, §3.2).

@@ -13,8 +13,10 @@ package vca
 import (
 	"time"
 
+	"vcalab/internal/cc"
 	"vcalab/internal/codec"
 	"vcalab/internal/media"
+	"vcalab/internal/obs"
 	"vcalab/internal/rtp"
 )
 
@@ -189,6 +191,36 @@ type FeedbackMsg struct {
 	From   string // reporting client (or downstream SFU)
 	FromID int32  // From's registry ID — the SFU's leg lookup key
 	Stats  media.IntervalStats
+}
+
+// statsFeedback converts a receiver report into controller feedback; RTT
+// follows the repo's synthetic convention (2×queue delay + 40 ms base).
+func statsFeedback(now time.Duration, st media.IntervalStats) cc.Feedback {
+	return cc.Feedback{
+		Now:            now,
+		Interval:       st.Interval,
+		RTT:            2*st.QueueDelay + 40*time.Millisecond,
+		LossFraction:   st.LossFraction,
+		ReceiveRateBps: st.RateBps,
+		QueueDelay:     st.QueueDelay,
+	}
+}
+
+// feed hands one feedback report to a controller — a client's uplink
+// controller or an SFU leg's — and traces the target change, if any, as
+// a CC event for (receiver, sender).
+func feed(ctrl cc.Controller, fb cc.Feedback, tracer *obs.Tracer, receiver, sender string) {
+	var oldBps float64
+	if tracer != nil {
+		oldBps = ctrl.TargetBps()
+	}
+	ctrl.OnFeedback(fb)
+	if tracer != nil {
+		if newBps := ctrl.TargetBps(); newBps != oldBps {
+			tracer.CC(fb.Now, receiver, sender,
+				ccReason(fb.LossFraction, fb.QueueDelay, oldBps, newBps), oldBps, newBps)
+		}
+	}
 }
 
 // FIRMsg requests a keyframe for Origin's stream (RTCP FIR, RFC 5104).

@@ -1,6 +1,7 @@
 package vca
 
 import (
+	"slices"
 	"time"
 
 	"vcalab/internal/cc"
@@ -157,24 +158,19 @@ type fwdState struct {
 	rtx *rtp.RTXBuffer
 }
 
-// newFwdState is the construction-time forwarding state: the maxLayer
-// sentinel (1 << 10) and high-copy selection deliberately forward
-// everything until the first control tick has measured arrival rates —
-// receiver estimates start optimistic, and the first 100 ms of a call
-// carry the keyframes every receiver needs.
-func newFwdState() *fwdState {
-	return &fwdState{curInFrame: -1, selRK: rkSimHigh, maxLayer: 1 << 10, thinFactor: 1}
-}
-
-// newFwd builds forwarding state for one (receiver, origin) pair. In a
-// running call the construction sentinel would be stale — it blasts every
-// SVC layer (or the high simulcast copy) at receivers whose estimate may
-// not sustain even the base layer — so mid-call subscriptions (join,
-// rejoin, cascade re-attach) start conservatively at the base layer / low
-// copy and upgrade once the origin's arrival rates are measured, the way
+// newFwd builds forwarding state for one (receiver, origin) pair. At
+// construction the maxLayer sentinel (1 << 10) and high-copy selection
+// deliberately forward everything until the first control tick has
+// measured arrival rates — receiver estimates start optimistic, and the
+// first 100 ms of a call carry the keyframes every receiver needs. In a
+// running call that sentinel would be stale — it blasts every SVC layer
+// (or the high simulcast copy) at receivers whose estimate may not
+// sustain even the base layer — so mid-call subscriptions (join, rejoin,
+// cascade re-attach) start conservatively at the base layer / low copy
+// and upgrade once the origin's arrival rates are measured, the way
 // production SFU forwarders admit a new subscriber.
 func (s *Server) newFwd() *fwdState {
-	fs := newFwdState()
+	fs := &fwdState{curInFrame: -1, selRK: rkSimHigh, maxLayer: 1 << 10, thinFactor: 1}
 	if s.running {
 		fs.maxLayer = 0
 		fs.selRK = rkSimLow
@@ -225,18 +221,8 @@ func newServer(eng *sim.Engine, prof *Profile, host *netem.Host, reg *registry, 
 	}
 	s.passthrough = prof.NewServerCC == nil && total == 2
 	for _, c := range clients {
-		s.clients = append(s.clients, c)
-		s.upRecv[c] = media.NewReceiver()
-		s.rates[c] = []rateEst{}
-		l := s.newLeg(c, false)
-		s.legs[c] = l
-		for _, o := range clients {
-			if o != c {
-				l.fwd[o] = newFwdState()
-			}
-		}
+		s.addClient(c)
 	}
-	s.rebuildLegOrder()
 	host.HandleFunc(PortMedia, s.onMedia)
 	host.HandleFunc(PortFeedback, s.onFeedback)
 	host.HandleFunc(PortSignal, s.onSignal)
@@ -371,7 +357,7 @@ func (s *Server) rebuildFans() {
 func (s *Server) addRelayLeg(peer int32, origins []int32) {
 	l := s.newLeg(peer, true)
 	for _, o := range origins {
-		l.fwd[o] = newFwdState()
+		l.fwd[o] = s.newFwd()
 	}
 	s.legs[peer] = l
 	s.relayPeers = append(s.relayPeers, peer)
@@ -411,37 +397,25 @@ func (s *Server) addRemoteOrigin(peer, origin int32) {
 	s.fanDirty = true
 }
 
-// removeRemoteOrigin drops all per-origin state for a remote origin that
-// left the call, so cascade churn does not leak rate estimators or
-// forwarding state.
-func (s *Server) removeRemoteOrigin(origin int32) {
-	s.remote[origin] = noID
-	s.rates[origin] = nil
-	for _, rid := range s.legOrder {
-		if l := s.legs[rid]; l != nil {
-			s.drainFwd(l.fwd[origin])
-			l.fwd[origin] = nil
-			l.flows[origin] = nil
-		}
+// forget drops every table entry one participant ID indexes: a local
+// client's roster slot, uplink receiver, receiver leg and layout; a remote
+// origin's upstream peer; its rate estimators; and every other leg's
+// forwarding state and flow labels for it, with their RTX clones drained.
+// It runs when the participant leaves and again before a recycled ID is
+// reused, so a reused ID can never inherit a departed participant's state.
+func (s *Server) forget(id int32) {
+	if int(id) >= len(s.legs) {
+		return
 	}
-	s.fanDirty = true
-}
-
-// removeClient drops all per-client state when a local participant leaves
-// mid-call: its uplink receiver, rate estimators, receiver leg, and every
-// other leg's forwarding state toward or from it.
-func (s *Server) removeClient(id int32) {
-	for i, c := range s.clients {
-		if c == id {
-			s.clients = append(s.clients[:i], s.clients[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.clients, id); i >= 0 {
+		s.clients = slices.Delete(s.clients, i, i+1)
 	}
 	s.upRecv[id] = nil
 	s.rates[id] = nil
+	s.remote[id] = noID
+	s.displayed[id] = nil
 	s.drainLeg(s.legs[id])
 	s.legs[id] = nil
-	s.displayed[id] = nil
 	for _, rid := range s.legOrder {
 		if l := s.legs[rid]; l != nil {
 			s.drainFwd(l.fwd[id])
@@ -452,9 +426,10 @@ func (s *Server) removeClient(id int32) {
 	s.rebuildLegOrder()
 }
 
-// addClient re-attaches a local participant (rejoin path): fresh uplink
-// receiver, rate row and receiver leg, plus forwarding state in every
-// existing leg (local receivers and relay peers alike).
+// addClient attaches a local participant — at construction and on
+// rejoin: fresh uplink receiver, rate row and receiver leg, plus
+// forwarding state in every existing leg (local receivers and relay peers
+// alike).
 func (s *Server) addClient(id int32) {
 	s.clients = append(s.clients, id)
 	s.upRecv[id] = media.NewReceiver()
@@ -480,28 +455,6 @@ func (s *Server) addClient(id int32) {
 		}
 	}
 	s.rebuildLegOrder()
-}
-
-// resetSlot defensively clears every table entry a recycled ID indexes, so
-// a reused ID can never inherit a departed participant's state.
-func (s *Server) resetSlot(id int32) {
-	if int(id) >= len(s.legs) {
-		return
-	}
-	s.upRecv[id] = nil
-	s.rates[id] = nil
-	s.drainLeg(s.legs[id])
-	s.legs[id] = nil
-	s.displayed[id] = nil
-	s.remote[id] = noID
-	for _, rid := range s.legOrder {
-		if l := s.legs[rid]; l != nil {
-			s.drainFwd(l.fwd[id])
-			l.fwd[id] = nil
-			l.flows[id] = nil
-		}
-	}
-	s.fanDirty = true
 }
 
 // setTotal updates the call-wide participant count after churn (layout
@@ -823,6 +776,18 @@ func (s *Server) send(l *leg, mp *MediaPacket, size int) {
 	s.host.Send(pkt)
 }
 
+// sendCtl sends one control message (report, FIR, allocation) from the
+// SFU to dst's port of the same number.
+func (s *Server) sendCtl(dst string, port, size int, flow string, payload any) {
+	pkt := s.host.NewPacket()
+	pkt.Size = size
+	pkt.From = netem.Addr{Host: s.Name, Port: port}
+	pkt.To = netem.Addr{Host: dst, Port: port}
+	pkt.Flow = flow
+	pkt.Payload = payload
+	s.host.Send(pkt)
+}
+
 // onFeedback handles a receiver's (or downstream peer SFU's) aggregate
 // report.
 func (s *Server) onFeedback(pkt *netem.Packet) {
@@ -858,25 +823,7 @@ func (s *Server) onFeedback(pkt *netem.Packet) {
 			// update cadence.
 			return
 		}
-		st := fb.Stats
-		var oldBps float64
-		if s.tracer != nil {
-			oldBps = l.ctrl.TargetBps()
-		}
-		l.ctrl.OnFeedback(cc.Feedback{
-			Now:            s.eng.Now(),
-			Interval:       st.Interval,
-			RTT:            2*st.QueueDelay + 40*time.Millisecond,
-			LossFraction:   st.LossFraction,
-			ReceiveRateBps: st.RateBps,
-			QueueDelay:     st.QueueDelay,
-		})
-		if s.tracer != nil {
-			if newBps := l.ctrl.TargetBps(); newBps != oldBps {
-				s.tracer.CC(s.eng.Now(), l.recvName, s.Name,
-					ccReason(st.LossFraction, st.QueueDelay, oldBps, newBps), oldBps, newBps)
-			}
-		}
+		feed(l.ctrl, statsFeedback(s.eng.Now(), fb.Stats), s.tracer, l.recvName, s.Name)
 		return
 	}
 	// Teams: relay the report end-to-end to every origin the receiver
@@ -885,13 +832,7 @@ func (s *Server) onFeedback(pkt *netem.Packet) {
 	// keeping the loop end-to-end. The FeedbackMsg itself is shared
 	// across the relayed packets, so it is deliberately not pooled.
 	for _, origin := range s.displayed[fb.FromID] {
-		pkt := s.host.NewPacket()
-		pkt.Size = feedbackWire
-		pkt.From = netem.Addr{Host: s.Name, Port: PortFeedback}
-		pkt.To = netem.Addr{Host: s.reg.name(origin), Port: PortFeedback}
-		pkt.Flow = s.flowRtcpRelay
-		pkt.Payload = fb
-		s.host.Send(pkt)
+		s.sendCtl(s.reg.name(origin), PortFeedback, feedbackWire, s.flowRtcpRelay, fb)
 	}
 }
 
@@ -959,17 +900,7 @@ func (s *Server) onTWCC(m *TWCCMsg) {
 		return
 	}
 	fb.RTT = 2*fb.QueueDelay + 40*time.Millisecond
-	var oldBps float64
-	if s.tracer != nil {
-		oldBps = l.ctrl.TargetBps()
-	}
-	l.ctrl.OnFeedback(fb)
-	if s.tracer != nil {
-		if newBps := l.ctrl.TargetBps(); newBps != oldBps {
-			s.tracer.CC(s.eng.Now(), l.recvName, s.Name,
-				ccReason(fb.LossFraction, fb.QueueDelay, oldBps, newBps), oldBps, newBps)
-		}
-	}
+	feed(l.ctrl, fb, s.tracer, l.recvName, s.Name)
 }
 
 // onSignal relays FIRs to the origin sender.
@@ -981,13 +912,7 @@ func (s *Server) onSignal(pkt *netem.Packet) {
 	if !ok {
 		return
 	}
-	out := s.host.NewPacket()
-	out.Size = firWire
-	out.From = netem.Addr{Host: s.Name, Port: PortSignal}
-	out.To = netem.Addr{Host: fir.Origin, Port: PortSignal}
-	out.Flow = s.flowFir
-	out.Payload = fir
-	s.host.Send(out)
+	s.sendCtl(fir.Origin, PortSignal, firWire, s.flowFir, fir)
 }
 
 // controlTick runs every 100 ms: refresh rate estimates, send uplink and
@@ -1009,50 +934,34 @@ func (s *Server) controlTick(now time.Duration) {
 	// downlink congestion control (Meet/Zoom). Teams relies on e2e RTCP.
 	if s.prof.NewServerCC != nil {
 		for _, origin := range s.clients {
-			r := s.upRecv[origin]
-			st := r.Take(now)
-			if st.Interval == 0 {
-				st.Interval = 100 * time.Millisecond
-			}
-			pkt := s.host.NewPacket()
-			pkt.Size = feedbackWire
-			pkt.From = netem.Addr{Host: s.Name, Port: PortFeedback}
-			pkt.To = netem.Addr{Host: s.reg.name(origin), Port: PortFeedback}
-			pkt.Flow = s.flowRtcpUp
-			pkt.Payload = &FeedbackMsg{From: s.Name, FromID: s.id, Stats: st}
-			s.host.Send(pkt)
+			s.report(now, s.upRecv[origin], origin, s.flowRtcpUp)
 		}
 		// Per-hop feedback to each upstream peer SFU: the downstream end
 		// of a relay leg reports exactly like a receiver would, so the
 		// peer's relay controller sees loss and queueing on the
 		// inter-region link.
 		for _, peer := range s.peers {
-			r := s.relayRecv[peer]
-			if r == nil {
-				continue
+			if r := s.relayRecv[peer]; r != nil {
+				s.report(now, r, peer, s.flowRtcpHop)
 			}
-			st := r.Take(now)
-			if st.Interval == 0 {
-				st.Interval = 100 * time.Millisecond
-			}
-			pkt := s.host.NewPacket()
-			pkt.Size = feedbackWire
-			pkt.From = netem.Addr{Host: s.Name, Port: PortFeedback}
-			pkt.To = netem.Addr{Host: s.reg.name(peer), Port: PortFeedback}
-			pkt.Flow = s.flowRtcpHop
-			pkt.Payload = &FeedbackMsg{From: s.Name, FromID: s.id, Stats: st}
-			s.host.Send(pkt)
 		}
 	}
-	// Selection per leg, local receivers first, then relay legs.
-	for _, receiver := range s.legOrder {
-		s.updateSelection(s.legs[receiver])
-	}
+	s.refreshSelection()
 }
 
-// refreshSelection recomputes every leg's selection state immediately, in
-// controlTick's leg order. The call invokes it after mid-call churn or a
-// layout reshape: forwarding state created mid-call starts from the
+// report sends dst a receiver report of r's arrivals since the last one.
+func (s *Server) report(now time.Duration, r *media.Receiver, dst int32, flow string) {
+	st := r.Take(now)
+	if st.Interval == 0 {
+		st.Interval = 100 * time.Millisecond
+	}
+	s.sendCtl(s.reg.name(dst), PortFeedback, feedbackWire, flow, &FeedbackMsg{From: s.Name, FromID: s.id, Stats: st})
+}
+
+// refreshSelection recomputes every leg's selection state, local
+// receivers first, then relay legs. controlTick runs it every 100 ms; the
+// call also invokes it immediately after mid-call churn or a layout
+// reshape: forwarding state created mid-call starts from the
 // build-time "forward everything" sentinel (maxLayer 1<<10, high simulcast
 // copy), and letting that sentinel live until the next 100 ms control tick
 // forwarded every SVC layer to receivers whose estimate could not even
@@ -1256,12 +1165,6 @@ func (s *Server) allocTick(time.Duration) {
 				alloc = 100_000
 			}
 		}
-		pkt := s.host.NewPacket()
-		pkt.Size = allocWire
-		pkt.From = netem.Addr{Host: s.Name, Port: PortSignal}
-		pkt.To = netem.Addr{Host: s.reg.name(origin), Port: PortSignal}
-		pkt.Flow = s.flowAlloc
-		pkt.Payload = &AllocMsg{LowBps: alloc}
-		s.host.Send(pkt)
+		s.sendCtl(s.reg.name(origin), PortSignal, allocWire, s.flowAlloc, &AllocMsg{LowBps: alloc})
 	}
 }
